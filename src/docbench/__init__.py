@@ -14,12 +14,12 @@ from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
 from .parallel import (ParallelConfig, measure_speedup, ring_allreduce,
                        train_parallel)
 from .scaling import ScaledDims, ScalingSpec, compound_scale
-from .tensor import ComputationGraph, ShapeError, Tensor, backward, trace
+from .tensor import ComputationGraph, ShapeError, Tensor, trace
 from .text_encoder import TextEncoderSpec, build_text_encoder
 
 __all__ = [
     "__version__",
-    "Tensor", "ShapeError", "ComputationGraph", "trace", "backward",
+    "Tensor", "ShapeError", "ComputationGraph", "trace",
     "Ctx", "Network",
     "ScalingSpec", "ScaledDims", "compound_scale",
     "StageSpec", "BASE_STAGES", "build_efficientnet",

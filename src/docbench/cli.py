@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ops
 from .config import Config, ConfigError
 from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
                    generate_corpus, load_corpus, make_splits, resize,
@@ -25,12 +25,14 @@ from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
 from .efficientnet import BASE_STAGES, StageSpec, build_efficientnet
 from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
                        predict_classes, report_csv)
-from .layers import Ctx, Network
+from .layers import Network
 from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
                     SgdOptimizer, StlrConfig, group_lrs, reference_lr, stlr_lr)
 from .parallel import (ParallelConfig, eval_image_accuracy, eval_text_accuracy,
-                       image_loss, measure_speedup, text_loss, train_parallel)
+                       image_loss, measure_speedup, predict, text_loss,
+                       train_parallel)
 from .scaling import ScaledDims, ScalingSpec, compound_scale
+from .tensor import Tensor
 from .text_encoder import TextEncoderSpec, build_text_encoder
 
 METRICS_HEADER = "epoch,train_loss,val_acc,lr"
@@ -144,20 +146,17 @@ def _single_split(cfg: Config, section: str, corpus: Corpus, seed: int):
 
 def _parallel_cfg(args, cfg: Config, n: int) -> ParallelConfig:
     return ParallelConfig(k=args.workers, n=n, seed=args.seed,
-                          reduction=cfg.get("run", "reduction", "ring"),
-                          deterministic=args.deterministic)
+                          reduction=cfg.get("run", "reduction", "ring"))
+
+
+def _epochs(cfg: Config, section: str) -> int:
+    epochs = cfg.getint(section, "epochs")
+    if epochs < 1:
+        raise ConfigError(f"{section}.epochs must be >= 1, got {epochs}")
+    return epochs
 
 
 # -- artifact writing ---------------------------------------------------------------
-
-
-def _write_metrics(path: str, rows):
-    lines = [METRICS_HEADER]
-    for r in rows:
-        val = f"{r['val_acc']:.4f}" if "val_acc" in r else ""
-        lines.append(f"{r['epoch']},{r['train_loss']:.6f},{val},{r['lr']:.8f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
@@ -167,7 +166,6 @@ def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
         "version": __version__,
         "seed": args.seed,
         "workers": args.workers,
-        "deterministic": args.deterministic,
         "config": cfg.snapshot(),
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
         "wall_clock_seconds": round(time.time() - started, 3),
@@ -186,6 +184,30 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _write_training(command: str, args, cfg: Config, started: float, net,
+                    metrics, meta, extra=None) -> int:
+    """Checkpoint, metrics.csv and run.json of a training command, then its
+    closing line."""
+    out = _ensure_out(args.out)
+    ckpt = os.path.join(out, "checkpoint.tensors")
+    net.save(ckpt, extra_meta=meta)
+    lines = [METRICS_HEADER]
+    for r in metrics:
+        val = f"{r['val_acc']:.4f}" if "val_acc" in r else ""
+        lines.append(f"{r['epoch']},{r['train_loss']:.6f},{val},{r['lr']:.8f}")
+    csv_path = os.path.join(out, "metrics.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    _write_manifest(out, command, args, cfg,
+                    {"checkpoint": ckpt, "metrics": csv_path}, started,
+                    extra={"epochs": len(metrics),
+                           "final_val_acc": metrics[-1].get("val_acc"),
+                           **(extra or {})})
+    print(f"{command}: {len(metrics)} epochs, "
+          f"final val_acc {metrics[-1].get('val_acc', float('nan')):.4f}")
+    return 0
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -202,8 +224,11 @@ def cmd_gen_data(args, cfg: Config) -> int:
     return 0
 
 
-def _train_image(args, cfg: Config, section: str, initial=None):
-    """Shared pretrain/finetune loop; returns (net, metrics, loaders)."""
+def _train_image(args, cfg: Config, section: str, initial=None,
+                 extra=None) -> int:
+    """Shared pretrain/finetune command: train, then write its artifacts."""
+    started = time.time()
+    epochs = _epochs(cfg, section)
     corpus = load_corpus(args.data)
     plan = _single_split(cfg, section, corpus, args.seed)
     dims = _scaled_dims(cfg)
@@ -211,7 +236,7 @@ def _train_image(args, cfg: Config, section: str, initial=None):
     train_loader = ImageLoader(corpus, plan.train, k * n,
                                image_size=dims.input_size,
                                augment=_augment(cfg, section), seed=args.seed)
-    steps = cfg.getint(section, "epochs") * train_loader.batches_per_epoch()
+    steps = epochs * train_loader.batches_per_epoch()
     if steps < 1:
         raise ConfigError(
             f"{section}: train split of {len(plan.train)} documents yields no "
@@ -238,33 +263,18 @@ def _train_image(args, cfg: Config, section: str, initial=None):
                              seed=args.seed, drop_last=False)
     net, metrics = train_parallel(
         model_factory, opt_factory, train_loader, image_loss,
-        _parallel_cfg(args, cfg, n), cfg.getint(section, "epochs"),
+        _parallel_cfg(args, cfg, n), epochs,
         eval_fn=lambda m: eval_image_accuracy(m, val_loader))
-    return corpus, net, metrics
+    return _write_training(section, args, cfg, started, net, metrics,
+                           {"model": "image", "num_classes": corpus.num_classes,
+                            "input_size": net.input_size}, extra)
 
 
 def cmd_pretrain(args, cfg: Config) -> int:
-    started = time.time()
-    out = _ensure_out(args.out)
-    corpus, net, metrics = _train_image(args, cfg, "pretrain")
-    ckpt = os.path.join(out, "checkpoint.tensors")
-    net.save(ckpt, extra_meta={"model": "image",
-                               "num_classes": corpus.num_classes,
-                               "input_size": net.input_size})
-    csv_path = os.path.join(out, "metrics.csv")
-    _write_metrics(csv_path, metrics)
-    _write_manifest(out, "pretrain", args, cfg,
-                    {"checkpoint": ckpt, "metrics": csv_path}, started,
-                    extra={"epochs": len(metrics),
-                           "final_val_acc": metrics[-1].get("val_acc")})
-    print(f"pretrain: {len(metrics)} epochs, "
-          f"final val_acc {metrics[-1].get('val_acc', float('nan')):.4f}")
-    return 0
+    return _train_image(args, cfg, "pretrain")
 
 
 def cmd_finetune(args, cfg: Config) -> int:
-    started = time.time()
-    out = _ensure_out(args.out)
     keep = tuple((cfg.get("finetune", "keep_trainable", "head") or "head").split())
 
     def initial(net: Network):
@@ -272,26 +282,14 @@ def cmd_finetune(args, cfg: Config) -> int:
         net.load(args.checkpoint, skip_groups=("head",))
         net.freeze(keep_trainable=keep)
 
-    corpus, net, metrics = _train_image(args, cfg, "finetune", initial=initial)
-    ckpt = os.path.join(out, "checkpoint.tensors")
-    net.save(ckpt, extra_meta={"model": "image",
-                               "num_classes": corpus.num_classes,
-                               "input_size": net.input_size})
-    csv_path = os.path.join(out, "metrics.csv")
-    _write_metrics(csv_path, metrics)
-    _write_manifest(out, "finetune", args, cfg,
-                    {"checkpoint": ckpt, "metrics": csv_path}, started,
-                    extra={"source_checkpoint": args.checkpoint,
-                           "trainable_groups": list(keep),
-                           "final_val_acc": metrics[-1].get("val_acc")})
-    print(f"finetune: {len(metrics)} epochs, "
-          f"final val_acc {metrics[-1].get('val_acc', float('nan')):.4f}")
-    return 0
+    return _train_image(args, cfg, "finetune", initial=initial,
+                        extra={"source_checkpoint": args.checkpoint,
+                               "trainable_groups": list(keep)})
 
 
 def cmd_train_text(args, cfg: Config) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
+    epochs = _epochs(cfg, "text")
     corpus = load_corpus(args.data)
     plan = _single_split(cfg, "text", corpus, args.seed)
     max_len = _text_max_len(cfg, corpus)
@@ -327,40 +325,20 @@ def cmd_train_text(args, cfg: Config) -> int:
                             max_len, seed=args.seed, drop_last=False)
     net, metrics = train_parallel(
         lambda: _build_text_net(cfg, corpus, args.seed), opt_factory,
-        train_loader, text_loss, _parallel_cfg(args, cfg, n),
-        cfg.getint("text", "epochs"),
+        train_loader, text_loss, _parallel_cfg(args, cfg, n), epochs,
         eval_fn=lambda m: eval_text_accuracy(m, val_loader))
-
-    ckpt = os.path.join(out, "checkpoint.tensors")
-    net.save(ckpt, extra_meta={"model": "text",
-                               "num_classes": corpus.num_classes,
-                               "vocab_size": corpus.spec.vocab_size,
-                               "max_len": max_len})
-    csv_path = os.path.join(out, "metrics.csv")
-    _write_metrics(csv_path, metrics)
-    _write_manifest(out, "train-text", args, cfg,
-                    {"checkpoint": ckpt, "metrics": csv_path}, started,
-                    extra={"epochs": len(metrics), "batch_size": global_batch,
-                           "final_val_acc": metrics[-1].get("val_acc")})
-    print(f"train-text: {len(metrics)} epochs, "
-          f"final val_acc {metrics[-1].get('val_acc', float('nan')):.4f}")
-    return 0
+    return _write_training("train-text", args, cfg, started, net, metrics,
+                           {"model": "text", "num_classes": corpus.num_classes,
+                            "vocab_size": corpus.spec.vocab_size,
+                            "max_len": max_len},
+                           {"batch_size": global_batch})
 
 
-def _image_probs(net, loader) -> tuple:
-    ctx = Ctx(training=False)
+def _probs(net, loader) -> tuple:
+    """Class probabilities and labels over one pass of an eval loader."""
     probs, labels = [], []
-    for x, y in loader.epoch(0):
-        probs.append(net(x, ctx).data)
-        labels.append(y)
-    return np.concatenate(probs), np.concatenate(labels)
-
-
-def _text_probs(net, loader) -> tuple:
-    ctx = Ctx(training=False)
-    probs, labels = [], []
-    for ids, mask, y in loader.epoch(0):
-        probs.append(net(ids, ctx, mask).data)
+    for logits, y in predict(net, loader):
+        probs.append(ops.softmax(Tensor(logits), axis=-1).data)
         labels.append(y)
     return np.concatenate(probs), np.concatenate(labels)
 
@@ -403,15 +381,15 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
 
         if use_grid:
             vi, vt = loaders(plan.val)
-            pv_img, yv = _image_probs(image_net, vi)
-            pv_txt, _ = _text_probs(text_net, vt)
+            pv_img, yv = _probs(image_net, vi)
+            pv_txt, _ = _probs(text_net, vt)
             weights = grid_search_weights(pv_txt, pv_img, yv,
                                           cfg.getfloat("ensemble", "grid_step"))
         else:
             weights = fixed
         ti, tt = loaders(plan.test)
-        p_img, y = _image_probs(image_net, ti)
-        p_txt, _ = _text_probs(text_net, tt)
+        p_img, y = _probs(image_net, ti)
+        p_txt, _ = _probs(text_net, tt)
         fused = fuse(p_txt, p_img, weights)
         rows.append({
             "split_id": plan.split_id,
@@ -499,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None, metavar="K")
         p.add_argument("--batch-per-worker", type=int, default=None, metavar="N")
-        p.add_argument("--deterministic", action="store_true", default=None)
         p.add_argument("--out", required=True, help="output directory")
         if data:
             p.add_argument("--data", required=True, help="corpus directory")
@@ -540,8 +517,6 @@ def _resolve(args, cfg: Config):
         args.workers = cfg.getint("run", "workers", 1)
     if args.batch_per_worker is None:
         args.batch_per_worker = cfg.getint("run", "batch_per_worker", 8)
-    if args.deterministic is None:
-        args.deterministic = cfg.getbool("run", "deterministic", True)
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
     if args.batch_per_worker < 1:

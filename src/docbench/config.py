@@ -125,18 +125,6 @@ class Config:
             raise ConfigError(
                 f"{section}.{key} must be a list of integers, got {raw!r}") from None
 
-    def getfloats(self, section, key, default=_REQUIRED) -> list:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None
-        if not isinstance(raw, str):
-            return list(raw)
-        try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key} must be a list of numbers, got {raw!r}") from None
-
     def snapshot(self) -> dict:
         """Plain dict copy for run manifests."""
         return {section: dict(self._cp.items(section))

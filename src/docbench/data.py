@@ -226,7 +226,6 @@ def shear(image: np.ndarray, theta_degrees: float) -> np.ndarray:
 class AugmentConfig:
     shear_min: float = -5.0
     shear_max: float = 5.0
-    training_only: bool = True
 
     def __post_init__(self):
         if self.shear_min > self.shear_max:
@@ -346,31 +345,50 @@ def load_corpus(corpus_dir: str) -> Corpus:
 # -- minibatch streams ---------------------------------------------------------------
 
 
-class ImageLoader:
-    """Deterministic epoch streams of (images, labels) over a fixed index set.
+class _Loader:
+    """Deterministic epoch streams of (*inputs, labels) over a fixed index set.
 
-    Shuffling depends on (seed, epoch) and augmentation on (seed, epoch,
-    document index) only, so the global batch sequence is identical no
-    matter how it is later sharded across workers.
+    Shuffling depends on (seed, epoch) only, so the global batch sequence is
+    identical no matter how it is later sharded across workers.  Each
+    subclass defines its own epoch(epoch_index) over _batches, because
+    benchmark/tracer.py wraps epoch class by class.
     """
 
     def __init__(self, corpus: Corpus, indices, batch_size: int,
-                 image_size: Optional[int] = None,
-                 augment: Optional[AugmentConfig] = None,
                  seed: int = 0, drop_last: bool = True):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.corpus = corpus
         self.indices = [int(i) for i in indices]
         self.batch_size = batch_size
-        self.image_size = image_size or corpus.spec.image_size
-        self.augment = augment
         self.seed = seed
         self.drop_last = drop_last
 
     def batches_per_epoch(self):
         n = len(self.indices)
         return n // self.batch_size if self.drop_last else -(-n // self.batch_size)
+
+    def _batches(self, epoch_index: int):
+        """Yield (document indices, labels) for each batch of the epoch."""
+        order = np.random.default_rng(
+            np.random.SeedSequence([self.seed, epoch_index])).permutation(self.indices)
+        limit = self.batches_per_epoch() * self.batch_size if self.drop_last else len(order)
+        for start in range(0, limit, self.batch_size):
+            chunk = [int(i) for i in order[start:start + self.batch_size]]
+            yield chunk, np.array([self.corpus.documents[i].label for i in chunk])
+
+
+class ImageLoader(_Loader):
+    """Streams of (images, labels); augmentation depends on (seed, epoch,
+    document index) only."""
+
+    def __init__(self, corpus: Corpus, indices, batch_size: int,
+                 image_size: Optional[int] = None,
+                 augment: Optional[AugmentConfig] = None,
+                 seed: int = 0, drop_last: bool = True):
+        super().__init__(corpus, indices, batch_size, seed, drop_last)
+        self.image_size = image_size or corpus.spec.image_size
+        self.augment = augment
 
     def _prepare(self, doc_index: int, epoch: int):
         doc = self.corpus.documents[doc_index]
@@ -384,46 +402,21 @@ class ImageLoader:
         return img
 
     def epoch(self, epoch_index: int):
-        order = np.random.default_rng(
-            np.random.SeedSequence([self.seed, epoch_index])).permutation(self.indices)
-        limit = self.batches_per_epoch() * self.batch_size if self.drop_last else len(order)
-        for start in range(0, limit, self.batch_size):
-            chunk = order[start:start + self.batch_size]
-            x = np.stack([self._prepare(int(i), epoch_index) for i in chunk])
-            y = np.array([self.corpus.documents[int(i)].label for i in chunk])
-            yield x, y
+        for chunk, y in self._batches(epoch_index):
+            yield np.stack([self._prepare(i, epoch_index) for i in chunk]), y
 
 
-class TextLoader:
-    """Epoch streams of (token ids, attention mask, labels); tokenization is
+class TextLoader(_Loader):
+    """Streams of (token ids, attention mask, labels); tokenization is
     deterministic so only the shuffle depends on (seed, epoch)."""
 
     def __init__(self, corpus: Corpus, indices, batch_size: int, max_len: int,
                  seed: int = 0, drop_last: bool = True):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.corpus = corpus
-        self.indices = [int(i) for i in indices]
-        self.batch_size = batch_size
+        super().__init__(corpus, indices, batch_size, seed, drop_last)
         self.max_len = max_len
-        self.seed = seed
-        self.drop_last = drop_last
-
-    def batches_per_epoch(self):
-        n = len(self.indices)
-        return n // self.batch_size if self.drop_last else -(-n // self.batch_size)
 
     def epoch(self, epoch_index: int):
-        order = np.random.default_rng(
-            np.random.SeedSequence([self.seed, epoch_index])).permutation(self.indices)
-        limit = self.batches_per_epoch() * self.batch_size if self.drop_last else len(order)
-        for start in range(0, limit, self.batch_size):
-            chunk = order[start:start + self.batch_size]
-            ids, masks, ys = [], [], []
-            for i in chunk:
-                doc = self.corpus.documents[int(i)]
-                t, m = tokenize(doc.tokens, self.max_len)
-                ids.append(t)
-                masks.append(m)
-                ys.append(doc.label)
-            yield np.stack(ids), np.stack(masks), np.array(ys)
+        for chunk, y in self._batches(epoch_index):
+            ids, masks = zip(*(tokenize(self.corpus.documents[i].tokens, self.max_len)
+                               for i in chunk))
+            yield np.stack(ids), np.stack(masks), y

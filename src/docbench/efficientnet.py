@@ -19,8 +19,8 @@ from .ops import conv_output_dims
 from .scaling import ScaledDims
 
 __all__ = ["StageSpec", "BASE_STAGES", "STEM_CHANNELS", "HEAD_CHANNELS",
-           "round_channels", "round_repeats", "build_mbconv",
-           "build_efficientnet", "count_params"]
+           "round_channels", "round_repeats", "build_efficientnet",
+           "count_params"]
 
 CHANNEL_DIVISOR = 8
 
@@ -79,13 +79,6 @@ def round_repeats(repeats: int, depth_mult: float) -> int:
     return int(math.ceil(repeats * depth_mult))
 
 
-def build_mbconv(in_ch: int, out_ch: int, expansion: int, kernel: int,
-                 stride: int, se_ratio: float, rng=None) -> MBConv:
-    if in_ch <= 0 or out_ch <= 0:
-        raise ValueError(f"channel counts must be positive, got {in_ch} -> {out_ch}")
-    return MBConv(in_ch, out_ch, expansion, kernel, stride, se_ratio, rng)
-
-
 def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
                        in_channels: int = 3, seed: int = 0,
                        dropout_rate: float = 0.2,
@@ -118,8 +111,8 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
         for j in range(round_repeats(st.repeats, dims.depth_mult)):
             stride = st.stride if j == 0 else 1
             if st.kind == "mbconv":
-                blocks.append(build_mbconv(ch, out_ch, st.expansion, st.kernel,
-                                           stride, st.se_ratio, rng))
+                blocks.append(MBConv(ch, out_ch, st.expansion, st.kernel,
+                                     stride, st.se_ratio, rng))
             else:
                 blocks.append(Sequential(
                     Conv2d(ch, out_ch, st.kernel, stride=stride, bias=False, rng=rng),

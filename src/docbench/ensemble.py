@@ -1,9 +1,8 @@
 """Late fusion of per-modality class probabilities and split-level scoring.
 
-The two-model case is a thin wrapper over the general N-model convex
-combination (weights nonnegative, summing to one).  Ties everywhere break
-deterministically: argmax to the lowest class index, weight search toward
-the (0.5, 0.5) default.
+Two models are fused by a convex combination (weights nonnegative, summing
+to one).  Ties everywhere break deterministically: argmax to the lowest
+class index, weight search toward the (0.5, 0.5) default.
 """
 
 from __future__ import annotations
@@ -36,28 +35,15 @@ def _as_weights(w) -> FusionWeights:
     return FusionWeights(*w)
 
 
-def fuse_many(prob_rows, weights):
-    """Convex combination of N aligned probability arrays."""
-    if len(prob_rows) != len(weights):
-        raise ValueError(f"{len(prob_rows)} models but {len(weights)} weights")
-    ws = np.asarray(weights, dtype=np.float64)
-    if np.any(ws < 0) or abs(ws.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must be a convex combination, got {weights}")
-    arrays = [np.asarray(p, dtype=np.float64) for p in prob_rows]
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ValueError(f"prediction shape mismatch: {a.shape} vs {shape}")
-    out = np.zeros(shape)
-    for w, a in zip(ws, arrays):
-        out += w * a
-    return out
-
-
 def fuse(p_text, p_image, w=DEFAULT_WEIGHTS):
     """Weighted sum w1*p_text + w2*p_image of two class distributions."""
     w = _as_weights(w)
-    return fuse_many([p_text, p_image], [w.w1, w.w2])
+    p_text = np.asarray(p_text, dtype=np.float64)
+    p_image = np.asarray(p_image, dtype=np.float64)
+    if p_text.shape != p_image.shape:
+        raise ValueError(
+            f"prediction shape mismatch: {p_image.shape} vs {p_text.shape}")
+    return w.w1 * p_text + w.w2 * p_image
 
 
 def predict_class(p) -> int:
@@ -110,18 +96,6 @@ def grid_search_weights(val_text_preds, val_image_preds, labels,
     return FusionWeights(w1, 1.0 - w1)
 
 
-def median_accuracy(accs) -> float:
-    if not accs:
-        raise ValueError("empty accuracy list")
-    return float(statistics.median(accs))
-
-
-def mean_accuracy(accs) -> float:
-    if not accs:
-        raise ValueError("empty accuracy list")
-    return float(statistics.fmean(accs))
-
-
 def report_csv(split_rows, reducer: str = "median") -> str:
     """Per-split accuracy rows plus one summary row labeled by the reducer
     that produced it.
@@ -130,7 +104,7 @@ def report_csv(split_rows, reducer: str = "median") -> str:
     """
     if reducer not in ("median", "mean"):
         raise ValueError(f"reducer must be median|mean, got {reducer!r}")
-    reduce = median_accuracy if reducer == "median" else mean_accuracy
+    reduce = statistics.median if reducer == "median" else statistics.fmean
     lines = [REPORT_HEADER]
     for r in split_rows:
         lines.append(f"{r['split_id']},{r['image_acc']:.4f},{r['text_acc']:.4f},"

@@ -249,6 +249,8 @@ class MBConv(Layer):
     def __init__(self, in_ch, out_ch, expansion, kernel, stride, se_ratio,
                  rng=None, activation="swish"):
         super().__init__()
+        if in_ch <= 0 or out_ch <= 0:
+            raise ValueError(f"channel counts must be positive, got {in_ch} -> {out_ch}")
         if expansion < 1:
             raise ValueError(f"expansion must be >= 1, got {expansion}")
         mid = in_ch * expansion

@@ -99,7 +99,7 @@ def stlr_lr(t: int, cfg: StlrConfig) -> float:
     if t < cut:
         p = t / cut
     else:
-        p = 1.0 - (t - cut) / (cut * (1.0 / cfg.cut_frac - 1.0))
+        p = 1.0 - (t - cut) / (cfg.total_steps - cut)
     return cfg.eta_max * (1.0 + p * (cfg.ratio - 1.0)) / cfg.ratio
 
 
@@ -175,12 +175,6 @@ def adam_step(params, grads, lr, cfg: AdamConfig, t: int, moments=None):
         v_hat = v / (1.0 - cfg.beta2 ** t)
         p -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
     return params, moments
-
-
-def freeze(net: Network, keep_trainable):
-    """Freeze every group of net not named in keep_trainable; frozen
-    parameters stay bit-identical under any optimizer."""
-    return net.freeze(keep_trainable)
 
 
 class Optimizer:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .layers import Ctx, Network
 from .ops import softmax_crossentropy
-from .tensor import Tensor
 
 MAX_WORKERS_ENV = "DOCBENCH_MAX_WORKERS"
 CSV_HEADER = "k,wall_seconds,samples_per_sec,speedup,efficiency"
@@ -32,7 +31,6 @@ class ParallelConfig:
     n: int = 8                  # per-worker minibatch
     seed: int = 0
     reduction: str = "ring"     # ring | naive
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
@@ -204,17 +202,24 @@ def _assign_grads(pairs, flat):
     return flat[offset]
 
 
+def _logits(net, inputs, ctx):
+    """Map a batch's inputs, (x,) or (ids, mask), onto the network."""
+    return net.logits(inputs[0], ctx, *inputs[1:])
+
+
 def train_parallel(model_factory, opt_factory, loader, loss_fn,
                    cfg: ParallelConfig, epochs: int, eval_fn=None,
                    debug: bool = False):
     """Train k identically-initialized replicas in lockstep.
 
     model_factory must be pure (identical replicas); loader yields global
-    batches of k*n samples as tuples of arrays with a leading sample axis;
-    loss_fn(net, shard, ctx) returns the shard-mean loss Tensor.  Shard-mean
-    gradients are all-reduced and divided by k, i.e. the update uses the
-    gradient mean over the whole global batch.  Returns (worker-0 replica,
-    per-epoch metrics rows).
+    batches of k*n samples as (*inputs, labels) arrays with a leading sample
+    axis; loss_fn maps (net, shard, ctx) to the shard-mean loss Tensor.
+    Shard-mean gradients are all-reduced and divided by k, i.e. the update
+    uses the gradient mean over the whole global batch.  Returns (worker-0
+    replica, per-epoch metrics rows); a row's `seconds` is worker 0's wall
+    time for the epoch's steps, clocked from a barrier at the epoch start,
+    without eval.
     """
     k = cfg.k
     collective = _Collective(k, cfg.reduction)
@@ -233,6 +238,9 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
             for epoch in range(epochs):
                 losses = []
                 peak_lr = 0.0
+                if k > 1:
+                    collective.barrier.wait()
+                started = time.perf_counter()
                 for batch in loader.epoch(epoch):
                     if batch[0].shape[0] != cfg.global_batch:
                         raise ValueError(
@@ -259,6 +267,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                         if dev > 1e-6:
                             raise RuntimeError(
                                 f"replica divergence {dev:.3e} beyond 1e-6")
+                seconds = time.perf_counter() - started
                 if k > 1 and buffers:
                     # running statistics differ per shard; re-sync as the mean
                     flat_b = np.concatenate([b.ravel() for b in buffers])
@@ -269,7 +278,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                         off += b.size
                 row = {"epoch": epoch,
                        "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                       "lr": peak_lr}
+                       "lr": peak_lr, "seconds": seconds}
                 if w == 0 and eval_fn is not None:
                     row["val_acc"] = float(eval_fn(net))
                 metrics.append(row)
@@ -312,6 +321,17 @@ def _blas_single_threaded():
         return contextlib.nullcontext()
 
 
+class _ReplayLoader:
+    """One fixed global batch, replayed counts[e] times in epoch e."""
+
+    def __init__(self, batch, counts):
+        self.batch = batch
+        self.counts = counts
+
+    def epoch(self, epoch_index):
+        return iter([self.batch] * self.counts[epoch_index])
+
+
 def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
                     n: int, steps: int, warmup: int = 1, mode: str = "weak",
                     seed: int = 0) -> SpeedupReport:
@@ -320,8 +340,9 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
     batch_factory(global_size) must return one deterministic global batch;
     the same batch is replayed every step so nothing but compute is timed.
     Weak mode holds n per worker (global batch n*k, fewer steps at higher
-    k); strong mode splits a fixed global batch of n across workers.  The
-    first `warmup` rounds are excluded from timing.  Speedup is the
+    k); strong mode splits a fixed global batch of n across workers.  Each
+    k trains two train_parallel epochs, `warmup` steps then the timed ones,
+    and the second epoch's `seconds` is the wall time.  Speedup is the
     throughput ratio against k=1, so S(1)=1 by construction.
     """
     if not k_list:
@@ -345,54 +366,13 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
                     raise ValueError(f"global batch {n} not divisible by k={k}")
                 global_batch = n
                 timed_steps = steps
-            batch = batch_factory(global_batch)
+            loader = _ReplayLoader(batch_factory(global_batch),
+                                   (warmup, timed_steps))
             cfg = ParallelConfig(k=k, n=global_batch // k, seed=seed)
-            collective = _Collective(k)
-            marks = {}
-
-            def body(w, k=k, cfg=cfg, batch=batch, collective=collective,
-                     timed_steps=timed_steps, marks=marks):
-                try:
-                    net = model_factory()
-                    opt = opt_factory(net)
-                    ctx = Ctx(training=True,
-                              rng=np.random.default_rng(
-                                  np.random.SeedSequence([cfg.seed, w])))
-                    lo, hi = w * cfg.n, (w + 1) * cfg.n
-                    shard = tuple(a[lo:hi] for a in batch)
-
-                    def one_step():
-                        opt.zero_grad()
-                        loss = loss_fn(net, shard, ctx)
-                        loss.backward()
-                        pairs = _trainable(net)
-                        flat = _flatten_grads(pairs, loss.item())
-                        reduced = collective.allreduce(w, flat)
-                        if k > 1:
-                            reduced = reduced / k
-                        _assign_grads(pairs, reduced)
-                        opt.step()
-
-                    for _ in range(warmup):
-                        one_step()
-                    if k > 1:
-                        collective.barrier.wait()
-                    if w == 0:
-                        marks["t0"] = time.perf_counter()
-                    for _ in range(timed_steps):
-                        one_step()
-                    if k > 1:
-                        collective.barrier.wait()
-                    if w == 0:
-                        marks["t1"] = time.perf_counter()
-                except BaseException:
-                    collective.abort()
-                    raise
-
-            _run_workers(k, body)
-            wall = marks["t1"] - marks["t0"]
-            processed = timed_steps * global_batch
-            sps = processed / wall if wall > 0 else float("inf")
+            _, metrics = train_parallel(model_factory, opt_factory, loader,
+                                        loss_fn, cfg, epochs=2)
+            wall = metrics[1]["seconds"]
+            sps = timed_steps * global_batch / wall if wall > 0 else float("inf")
             if base_sps is None:
                 base_sps = sps
             speedup = sps / base_sps
@@ -404,31 +384,32 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
 # -- shared loss/eval helpers -------------------------------------------------------
 
 
-def image_loss(net, shard, ctx):
-    x, y = shard
-    return softmax_crossentropy(net.logits(Tensor(x), ctx), y)
+def batch_loss(net, batch, ctx):
+    """Mean cross-entropy of one (*inputs, labels) batch."""
+    *inputs, labels = batch
+    return softmax_crossentropy(_logits(net, inputs, ctx), labels)
 
 
-def text_loss(net, shard, ctx):
-    ids, mask, y = shard
-    return softmax_crossentropy(net.logits(ids, ctx, mask), y)
+def predict(net, loader, epoch: int = 0):
+    """Eval-mode (logits array, labels) for each batch of the loader's epoch.
 
-
-def eval_image_accuracy(net, loader, epoch: int = 0) -> float:
+    Yielding the array, not the Tensor, frees each batch's tape before the
+    next forward; a caller's loop variable would otherwise keep it alive.
+    """
     ctx = Ctx(training=False)
+    for *inputs, labels in loader.epoch(epoch):
+        yield _logits(net, inputs, ctx).data, labels
+
+
+def accuracy(net, loader, epoch: int = 0) -> float:
     hits = total = 0
-    for x, y in loader.epoch(epoch):
-        pred = np.argmax(net.logits(Tensor(x), ctx).data, axis=1)
+    for logits, y in predict(net, loader, epoch):
+        pred = np.argmax(logits, axis=1)
         hits += int((pred == y).sum())
         total += len(y)
     return hits / total if total else float("nan")
 
 
-def eval_text_accuracy(net, loader, epoch: int = 0) -> float:
-    ctx = Ctx(training=False)
-    hits = total = 0
-    for ids, mask, y in loader.epoch(epoch):
-        pred = np.argmax(net.logits(ids, ctx, mask).data, axis=1)
-        hits += int((pred == y).sum())
-        total += len(y)
-    return hits / total if total else float("nan")
+# kept per modality: tests/test_acceptance.py imports them, benchmark/tracer.py wraps each
+image_loss = text_loss = batch_loss
+eval_image_accuracy = eval_text_accuracy = accuracy

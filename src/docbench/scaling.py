@@ -11,8 +11,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .ops import conv_output_dims  # noqa: F401  (re-exported: shape algebra lives here too)
-
 CONSTRAINT_TARGET = 2.0
 CONSTRAINT_TOLERANCE = 0.05
 

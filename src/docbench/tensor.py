@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DTYPES = {"single": np.float32, "double": np.float64}
 _DTYPE_TAGS = {np.dtype(np.float32): "float32", np.dtype(np.float64): "float64"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
@@ -347,11 +346,6 @@ def trace(root: Tensor) -> ComputationGraph:
         GraphNode(t.op, tuple(position[id(p)] for p in t.parents), t) for t in order
     ]
     return ComputationGraph(nodes)
-
-
-def backward(loss: Tensor) -> None:
-    """Module-level alias for ``loss.backward()``."""
-    loss.backward()
 
 
 # -- serialization ---------------------------------------------------------------

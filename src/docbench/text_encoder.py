@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import PAD_ID
 from .layers import Linear, TextNetwork, TokenEmbedding, TransformerBlock
-
-PAD_ID = 0
 
 
 @dataclass(frozen=True)

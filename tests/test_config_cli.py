@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from docbench import cli
 from docbench.config import Config, ConfigError, profile_path
 from docbench.tensor import load_tensors
 
@@ -21,7 +22,6 @@ from docbench.tensor import load_tensors
 def test_desk_profile_is_the_default_base():
     cfg = Config.load()
     assert cfg.getint("corpus", "num_classes") == 4
-    assert cfg.getbool("run", "deterministic") is True
 
 
 def test_override_beats_profile():
@@ -55,16 +55,16 @@ def test_bad_override_formats():
 
 def test_typed_getters():
     cfg = Config.load(overrides=[
-        "bench.k_list=1 2 4", "run.deterministic=off", "text.eta_body=3e-5"])
+        "bench.k_list=1 2 4", "pretrain.augment=off", "text.eta_body=3e-5"])
     assert cfg.getints("bench", "k_list") == [1, 2, 4]
-    assert cfg.getbool("run", "deterministic") is False
+    assert cfg.getbool("pretrain", "augment") is False
     assert cfg.getfloat("text", "eta_body") == pytest.approx(3e-5)
     with pytest.raises(ConfigError, match="corpus.num_classes"):
         Config.load(overrides=["corpus.num_classes=many"]).getint(
             "corpus", "num_classes")
     with pytest.raises(ConfigError):
-        Config.load(overrides=["run.deterministic=sometimes"]).getbool(
-            "run", "deterministic")
+        Config.load(overrides=["pretrain.augment=sometimes"]).getbool(
+            "pretrain", "augment")
     with pytest.raises(ConfigError, match="missing"):
         cfg.getint("corpus", "nonexistent_key")
     assert cfg.get("corpus", "nonexistent_key") is None
@@ -295,6 +295,22 @@ def test_ensemble_eval_rejects_class_count_mismatch(work, tmp_path):
                    "--out", str(tmp_path / "mix"), must_pass=False)
     assert proc.returncode == 1
     assert proc.stderr.strip().startswith("error:")
+
+
+@pytest.mark.parametrize("command,key", [("pretrain", "pretrain.epochs"),
+                                         ("finetune", "finetune.epochs"),
+                                         ("train-text", "text.epochs")])
+def test_zero_epochs_fail_before_any_artifact(work, tmp_path, capsys,
+                                              command, key):
+    out = tmp_path / "zero"
+    argv = [command, "--data", work["data"], "--out", str(out),
+            "--set", f"{key}=0"]
+    if command == "finetune":
+        argv += ["--checkpoint", os.path.join(work["pre"], "checkpoint.tensors")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and key in err
+    assert not (out / "checkpoint.tensors").exists()
 
 
 def test_deterministic_rerun_reproduces_metrics(work, tmp_path):

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from docbench.ensemble import (DEFAULT_WEIGHTS, REPORT_HEADER, FusionWeights,
-                               evaluate, fuse, fuse_many, grid_search_weights,
-                               mean_accuracy, median_accuracy, predict_class,
-                               predict_classes, report_csv)
+                               evaluate, fuse, grid_search_weights,
+                               predict_class, predict_classes, report_csv)
 
 
 def simplex_rows(rng, n, c):
@@ -51,18 +50,10 @@ def test_fuse_weight_validation():
         FusionWeights(0.6, 0.6)
 
 
-def test_fuse_many_validation():
+def test_fuse_shape_mismatch():
     a = np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match="weights"):
-        fuse_many([a, a, a], [0.5, 0.5])
     with pytest.raises(ValueError, match="shape"):
-        fuse_many([a, np.array([0.2, 0.3, 0.5])], [0.5, 0.5])
-
-
-def test_fuse_many_three_models():
-    rows = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]
-    out = fuse_many(rows, [0.2, 0.3, 0.5])
-    np.testing.assert_allclose(out, [0.45, 0.55], atol=1e-15)
+        fuse(a, np.array([0.2, 0.3, 0.5]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,17 +215,6 @@ def test_evaluate_validation():
         evaluate([0, 1], [0])
     with pytest.raises(ValueError):
         evaluate([], [])
-
-
-def test_reducers():
-    assert median_accuracy([0.9, 0.7, 0.8]) == pytest.approx(0.8)
-    assert median_accuracy([0.5, 0.9]) == pytest.approx(0.7)
-    assert mean_accuracy([0.9, 0.7, 0.8]) == pytest.approx(0.8)
-    assert mean_accuracy([0.0, 1.0]) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        median_accuracy([])
-    with pytest.raises(ValueError):
-        mean_accuracy([])
 
 
 def rows(n):

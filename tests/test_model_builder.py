@@ -8,11 +8,12 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
-                                   StageSpec, build_efficientnet, build_mbconv,
+                                   StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
-from docbench.layers import Ctx, count_params
+from docbench.layers import Ctx, MBConv, count_params
+from docbench.ops import conv_output_dims
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
-                              conv_output_dims, round_to_even)
+                              round_to_even)
 from docbench.text_encoder import TextEncoderSpec, build_text_encoder
 
 
@@ -158,8 +159,8 @@ def param_names(layer):
 
 
 def test_expand_conv_omitted_at_expansion_one():
-    names1 = param_names(build_mbconv(8, 8, 1, 3, 1, 0.25))
-    names6 = param_names(build_mbconv(8, 8, 6, 3, 1, 0.25))
+    names1 = param_names(MBConv(8, 8, 1, 3, 1, 0.25))
+    names6 = param_names(MBConv(8, 8, 6, 3, 1, 0.25))
     assert not any(n.startswith("expand_conv") for n in names1)
     assert any(n.startswith("expand_conv") for n in names6)
 
@@ -169,12 +170,12 @@ def test_mbconv_residual_shape_rules():
     x = rng.normal(size=(2, 8, 8, 8))
     ctx = Ctx(training=False)
     # stride 1, matching channels: residual path must change the output
-    block = build_mbconv(8, 8, 6, 3, 1, 0.25)
+    block = MBConv(8, 8, 6, 3, 1, 0.25)
     from docbench.tensor import Tensor
     out = block(Tensor(x), ctx)
     assert out.shape == (2, 8, 8, 8)
     # stride 2 halves the spatial extent
-    out2 = build_mbconv(8, 16, 6, 3, 2, 0.25)(Tensor(x), ctx)
+    out2 = MBConv(8, 16, 6, 3, 2, 0.25)(Tensor(x), ctx)
     assert out2.shape == (2, 16, 4, 4)
 
 
@@ -191,15 +192,15 @@ def test_mbconv_residual_is_additive():
             p.data[...] = 0.0
         return block
 
-    same = zero_params(build_mbconv(6, 6, 6, 3, 1, 0.0))
+    same = zero_params(MBConv(6, 6, 6, 3, 1, 0.0))
     assert np.allclose(same(Tensor(x), ctx).data, x)
-    proj = zero_params(build_mbconv(6, 8, 6, 3, 1, 0.0))
+    proj = zero_params(MBConv(6, 8, 6, 3, 1, 0.0))
     assert np.allclose(proj(Tensor(x), ctx).data, 0.0)
 
 
 def test_mbconv_rejects_bad_channels():
     with pytest.raises(ValueError):
-        build_mbconv(0, 8, 6, 3, 1, 0.25)
+        MBConv(0, 8, 6, 3, 1, 0.25)
 
 
 # -- full network builds -------------------------------------------------------------

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from docbench.layers import Ctx, Linear, Network, Sequential
 from docbench.optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig,
                             SgdConfig, SgdOptimizer, StlrConfig, adam_step,
-                            freeze, group_lrs, layerwise_lrs, reference_lr,
+                            group_lrs, layerwise_lrs, reference_lr,
                             sgd_step, stlr_lr)
 from docbench.tensor import Tensor
 
@@ -89,6 +89,25 @@ def test_stlr_bounds(total, eta, ratio):
     values = [stlr_lr(t, cfg) for t in range(0, total + 1, max(1, total // 50))]
     assert max(values) <= eta + 1e-12
     assert stlr_lr(cfg.cut, cfg) == pytest.approx(eta)
+
+
+def test_stlr_decay_stays_positive_when_cut_is_rounded():
+    # T=44, cut_frac=0.1: cut=4, so the decay leg must span 40 steps, not 36
+    cfg = StlrConfig(0.1, 44, 0.1, 32)
+    assert stlr_lr(44, cfg) == pytest.approx(0.1 / 32, abs=1e-15)
+    assert stlr_lr(40, cfg) > 0.1 / 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(1, 300), cut_frac=st.floats(0.001, 0.999),
+       eta=st.floats(1e-4, 1.0), ratio=st.floats(1.5, 100.0))
+def test_stlr_stays_between_floor_and_peak(total, cut_frac, eta, ratio):
+    assume(int(total * cut_frac) >= 1)
+    cfg = StlrConfig(eta_max=eta, total_steps=total, cut_frac=cut_frac,
+                     ratio=ratio)
+    for t in range(total + 1):
+        lr = stlr_lr(t, cfg)
+        assert eta / ratio * (1 - 1e-12) <= lr <= eta * (1 + 1e-12)
 
 
 # -- layer-wise decay ----------------------------------------------------------------
@@ -265,7 +284,7 @@ def test_optimizer_applies_group_rates():
 
 def test_frozen_groups_stay_fixed_under_training():
     net = tiny_net()
-    freeze(net, keep_trainable=["head"])
+    net.freeze(keep_trainable=["head"])
     before = {n: p.data.copy() for n, p in net.named_params()}
     opt = AdamOptimizer(net, 1e-2)
     for _ in range(3):

@@ -1,7 +1,7 @@
 """Ring all-reduce against a fixed-order summation oracle, batch sharding,
 multi-worker training equivalence, and the scaling benchmark harness."""
 
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -198,8 +198,70 @@ def test_metrics_rows_and_eval_hook():
         eval_fn=lambda m: eval_image_accuracy(m, EvalLoader()))
     assert len(metrics) == 2
     for row in metrics:
-        assert set(row) >= {"epoch", "train_loss", "lr", "val_acc"}
+        assert set(row) >= {"epoch", "train_loss", "lr", "val_acc", "seconds"}
         assert 0.0 <= row["val_acc"] <= 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_row_times_its_epoch(k):
+    _, metrics = run_training(k, 8 // k, steps=3, epochs=3)
+    assert [row["epoch"] for row in metrics] == [0, 1, 2]
+    assert all(row["seconds"] > 0 for row in metrics)
+
+
+# -- worker failures -----------------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+def marked_problem(k, n, steps=3):
+    """Batches whose first pixel holds the id of the worker that gets the row."""
+    loader = make_problem(k * n, steps=steps)
+    for x, _ in loader.batches:
+        x[:, 0] = np.repeat(np.arange(k), n)
+    return loader
+
+
+def train_in_thread(timeout=60, **kwargs):
+    """Run train_parallel at k=3 in a watched thread; return its exception."""
+    outcome = {}
+
+    def target():
+        try:
+            train_parallel(lambda: FlatImageModel(36, 3, seed=1),
+                           lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
+                           marked_problem(3, 2), cfg=ParallelConfig(k=3, n=2),
+                           epochs=3, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - inspected by the test
+            outcome["error"] = exc
+
+    before = set(threading.enumerate())
+    watcher = threading.Thread(target=target, daemon=True)
+    watcher.start()
+    watcher.join(timeout)
+    assert not watcher.is_alive(), "train_parallel hung after a worker failed"
+    assert set(threading.enumerate()) == before, "worker threads left running"
+    return outcome.get("error")
+
+
+def test_loss_error_on_one_worker_surfaces():
+    def loss_fn(net, shard, ctx):
+        if shard[0][0, 0] == 1:
+            raise Boom("worker 1")
+        return image_loss(net, shard, ctx)
+
+    error = train_in_thread(loss_fn=loss_fn)
+    assert isinstance(error, Boom) and str(error) == "worker 1"
+
+
+def test_eval_error_on_worker_zero_surfaces():
+    def eval_fn(net):
+        raise Boom("eval")
+
+    error = train_in_thread(loss_fn=image_loss, eval_fn=eval_fn)
+    assert isinstance(error, Boom) and str(error) == "eval"
 
 
 # -- scaling benchmark ---------------------------------------------------------------
@@ -248,6 +310,18 @@ def test_worker_cap_skips_large_k(monkeypatch):
             lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
             bench_problem(), image_loss, [1, 2], n=4, steps=2, warmup=0)
     assert [r["k"] for r in report.rows] == [1]
+
+
+@pytest.mark.parametrize("warmup", [0, 1])
+def test_speedup_at_two_workers(monkeypatch, warmup):
+    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+    report = measure_speedup(
+        lambda: FlatImageModel(36, 3, seed=1),
+        lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
+        bench_problem(), image_loss, [1, 2], n=4, steps=2, warmup=warmup)
+    assert [r["k"] for r in report.rows] == [1, 2]
+    assert all(r["wall_seconds"] > 0 for r in report.rows)
+    assert report.rows[0]["speedup"] == 1.0
 
 
 def test_speedup_input_validation():
