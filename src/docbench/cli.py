@@ -266,8 +266,7 @@ def _train_image(args, cfg: Config, section: str, initial=None,
         _parallel_cfg(args, cfg, n), epochs,
         eval_fn=lambda m: eval_image_accuracy(m, val_loader))
     return _write_training(section, args, cfg, started, net, metrics,
-                           {"model": "image", "num_classes": corpus.num_classes,
-                            "input_size": net.input_size}, extra)
+                           net.checkpoint_meta(), extra)
 
 
 def cmd_pretrain(args, cfg: Config) -> int:
@@ -328,9 +327,8 @@ def cmd_train_text(args, cfg: Config) -> int:
         train_loader, text_loss, _parallel_cfg(args, cfg, n), epochs,
         eval_fn=lambda m: eval_text_accuracy(m, val_loader))
     return _write_training("train-text", args, cfg, started, net, metrics,
-                           {"model": "text", "num_classes": corpus.num_classes,
-                            "vocab_size": corpus.spec.vocab_size,
-                            "max_len": max_len},
+                           {**net.checkpoint_meta(),
+                            "vocab_size": corpus.spec.vocab_size},
                            {"batch_size": global_batch})
 
 
@@ -349,14 +347,9 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     corpus = load_corpus(args.data)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
-    image_meta = image_net.load(args.image_checkpoint)
+    image_net.load(args.image_checkpoint)
     text_net = _build_text_net(cfg, corpus, args.seed)
-    text_meta = text_net.load(args.text_checkpoint)
-    ic = image_meta.get("num_classes", corpus.num_classes)
-    tc = text_meta.get("num_classes", corpus.num_classes)
-    if ic != tc:
-        raise ValueError(f"class-count mismatch: image model has {ic}, "
-                         f"text model has {tc}")
+    text_net.load(args.text_checkpoint)
 
     plans = make_splits(corpus, cfg.getint("splits", "n_splits"),
                         cfg.getint("splits", "train_size"),

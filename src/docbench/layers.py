@@ -188,27 +188,16 @@ class BatchNorm2d(Layer):
         self.register_buffer("running_var", np.ones(channels))
         self.momentum = momentum
         self.eps = eps
-        self.channels = channels
 
     def __call__(self, x, ctx: Ctx):
-        if x.ndim != 4:
-            raise ShapeError(f"batch norm expects (N,C,H,W), got {x.shape}")
-        c = self.channels
         if ctx.training and not self.frozen:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            normed = centered / (var + self.eps).sqrt()
+            out, mean, var = ops.batch_norm(x, self.gamma, self.beta, self.eps)
             m = self.momentum
-            self.running_mean += m * (mean.data.reshape(c) - self.running_mean)
-            self.running_var += m * (var.data.reshape(c) - self.running_var)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, c, 1, 1))
-            var = Tensor(self.running_var.reshape(1, c, 1, 1))
-            normed = (x - mean) / (var + self.eps).sqrt()
-        gamma = self.gamma.reshape(1, c, 1, 1)
-        beta = self.beta.reshape(1, c, 1, 1)
-        return normed * gamma + beta
+            self.running_mean += m * (mean - self.running_mean)
+            self.running_var += m * (var - self.running_var)
+            return out
+        return ops.batch_norm(x, self.gamma, self.beta, self.eps,
+                              (self.running_mean, self.running_var))[0]
 
 
 class LayerNorm(Layer):
@@ -441,8 +430,19 @@ class Network(Layer):
                 raise KeyError(f"checkpoint missing buffer {name!r}")
             b[...] = arrays[name]
 
+    def checkpoint_meta(self):
+        """Meta keys a checkpoint of this network records and must match."""
+        return {}
+
     def load(self, path, skip_groups=()):
+        """Load a checkpoint after checking its meta against this network;
+        ``num_classes`` is not compared when the head is skipped."""
         arrays, meta = load_tensors(path)
+        for key, want in self.checkpoint_meta().items():
+            have = (meta or {}).get(key, want)
+            if have != want and not (key == "num_classes" and "head" in skip_groups):
+                raise ValueError(f"{path}: checkpoint {key} is {have!r}, "
+                                 f"this network needs {want!r}")
         self.load_state(arrays, skip_groups)
         return meta
 
@@ -455,6 +455,10 @@ class ImageNetwork(Network):
         self.input_size = input_size
         self.num_classes = num_classes
         self.in_channels = in_channels
+
+    def checkpoint_meta(self):
+        return {"model": "image", "num_classes": self.num_classes,
+                "input_size": self.input_size}
 
     def logits(self, x, ctx: Ctx):
         if not isinstance(x, Tensor):
@@ -475,6 +479,10 @@ class TextNetwork(Network):
         super().__init__()
         self.num_classes = num_classes
         self.pad_id = pad_id
+
+    def checkpoint_meta(self):
+        return {"model": "text", "num_classes": self.num_classes,
+                "max_len": self.group("embedding").max_len}
 
     def attention_bias(self, ids, mask=None):
         ids = np.asarray(ids)

@@ -1,14 +1,16 @@
 """Neural-network operations on :class:`~docbench.tensor.Tensor`.
 
-Spatial ops use an im2col layout so the heavy lifting lands in BLAS matmuls;
-backward passes scatter-add through the same window views.
+Dense convolutions use an im2col layout so the heavy lifting lands in BLAS
+matmuls (a 1x1 filter at stride 1 needs none: its input already is the column
+matrix); depthwise convolution sums strided tap views instead.  Batch and
+layer norm are single ops with the closed-form backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _sigmoid
+from .tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
 
 VALID = "valid"
 SAME = "same"
@@ -82,10 +84,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     top, bottom, out_h = _pad_amounts(h, fh, stride, padding)
     left, right, out_w = _pad_amounts(wd, fw, stride, padding)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right))) \
-        if (top or bottom or left or right) else x.data
-    win = _window_view(xp, fh, stride, out_h, out_w)
-    cols = win.reshape(n, c * fh * fw, out_h * out_w)
+    pointwise = fh == 1 and stride == 1
+    if pointwise:  # the (N, C, H*W) input already is the column matrix
+        cols = x.data.reshape(n, c, h * wd)
+    else:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right))) \
+            if (top or bottom or left or right) else x.data
+        cols = _window_view(xp, fh, stride, out_h, out_w).reshape(
+            n, c * fh * fw, out_h * out_w)
     wmat = w.data.reshape(k, c * fh * fw)
     out = np.matmul(wmat, cols).reshape(n, k, out_h, out_w)
     if b is not None:
@@ -95,11 +101,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
     def vjp(g):
         gmat = g.reshape(n, k, out_h * out_w)
-        dw = np.einsum("nkl,ncl->kc", gmat, cols).reshape(w.shape)
+        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         dcols = np.matmul(wmat.T, gmat)
-        dwin = dcols.reshape(n, c, fh, fw, out_h, out_w)
-        dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
-        dx = dxp[:, :, top : top + h, left : left + wd]
+        if pointwise:
+            dx = dcols.reshape(x.shape)
+        else:
+            dwin = dcols.reshape(n, c, fh, fw, out_h, out_w)
+            dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
+            dx = dxp[:, :, top : top + h, left : left + wd]
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
@@ -125,17 +134,32 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right))) \
         if (top or bottom or left or right) else x.data
-    win = _window_view(xp, fh, stride, out_h, out_w)
-    out = np.einsum("ncijhw,cij->nchw", win, w.data[:, 0])
+    taps = w.data[:, 0, :, :, None, None]  # (C, F, F, 1, 1)
+
+    def at(a, i, j):
+        """Strided (N, C, Ho, Wo) view of ``a`` under filter tap (i, j)."""
+        return a[:, :, i : i + stride * out_h : stride,
+                 j : j + stride * out_w : stride]
+
+    out = np.zeros((n, c, out_h, out_w), dtype=x.dtype)
+    term = np.empty_like(out)
+    for i in range(fh):
+        for j in range(fw):
+            out += np.multiply(at(xp, i, j), taps[:, i, j], out=term)
     if b is not None:
         out = out + b.data[None, :, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        dw = np.einsum("ncijhw,nchw->cij", win, g)[:, None]
-        dwin = np.einsum("nchw,cij->ncijhw", g, w.data[:, 0])
-        dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
+        dw = np.empty_like(w.data)
+        dxp = np.zeros_like(xp)
+        term = np.empty_like(g)
+        for i in range(fh):
+            for j in range(fw):
+                dw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, at(xp, i, j))
+                view = at(dxp, i, j)
+                view += np.multiply(g, taps[:, i, j], out=term)
         dx = dxp[:, :, top : top + h, left : left + wd]
         if b is None:
             return dx, dw
@@ -179,7 +203,11 @@ def swish(x: Tensor) -> Tensor:
     out = x.data * s
 
     def vjp(g):
-        return (g * (s + x.data * s * (1.0 - s)),)
+        d = x.data * s
+        d *= 1.0 - s
+        d += s
+        d *= g
+        return (d,)
 
     return Tensor.from_op("swish", (x,), out, vjp)
 
@@ -259,10 +287,51 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor.from_op("embedding", (table,), out, vjp)
 
 
+def _normalize(op, x, scale, shift, axes, shape, eps, stats=None):
+    """``(x - mean) / sqrt(var + eps) * scale + shift`` as one tape node.
+
+    Statistics reduce ``axes`` of ``x``; ``scale`` and ``shift`` are viewed
+    as ``shape`` to broadcast.  With ``stats=(mean, var)`` the statistics are
+    constants, otherwise they are the batch's own and the backward pass runs
+    through them.  Returns the output and the statistics used.
+    """
+    mean = x.data.mean(axis=axes, keepdims=True) if stats is None else stats[0]
+    normed = x.data - mean
+    var = (normed * normed).mean(axis=axes, keepdims=True) if stats is None else stats[1]
+    std = np.sqrt(var + eps)
+    normed /= std
+    gain = scale.data.reshape(shape)
+    out = normed * gain
+    out += shift.data.reshape(shape)
+
+    def vjp(g):
+        d = g * gain
+        if stats is None:
+            proj = (d * normed).mean(axis=axes, keepdims=True)
+            d -= d.mean(axis=axes, keepdims=True)
+            d -= normed * proj
+        d /= std
+        return (d, _unbroadcast(g * normed, shape).reshape(scale.shape),
+                _unbroadcast(g, shape).reshape(shift.shape))
+
+    return Tensor.from_op(op, (x, scale, shift), out, vjp), mean, var
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               running=None):
+    """Per-channel normalization of (N,C,H,W) over batch, height and width.
+
+    Uses the batch statistics, or the constant ``running=(mean, var)`` pair
+    of (C,) arrays; returns ``(out, mean, var)`` with (C,) statistics.
+    """
+    _check_4d(x, "batch norm input")
+    shape = (1, x.shape[1], 1, 1)
+    stats = None if running is None else tuple(a.reshape(shape) for a in running)
+    out, mean, var = _normalize("batch_norm", x, gamma, beta, (0, 2, 3), shape,
+                                eps, stats)
+    return out, mean.reshape(-1), var.reshape(-1)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * gain + bias
+    return _normalize("layer_norm", x, gain, bias, -1, gain.shape, eps)[0]

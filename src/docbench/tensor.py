@@ -8,12 +8,14 @@ extracts the tape in topological order and walks it once in reverse.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 _DTYPE_TAGS = {np.dtype(np.float32): "float32", np.dtype(np.float64): "float64"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
+_FORMAT = "docbench-tensors-v1"
 
 
 class ShapeError(ValueError):
@@ -268,11 +270,12 @@ class Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as the single pass ``0.5*(1+tanh(x/2))``, which
+    keeps the input dtype and cannot overflow."""
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -355,7 +358,8 @@ def trace(root: Tensor) -> ComputationGraph:
 
 
 def save_tensors(path, arrays, meta=None):
-    """Write named arrays as header-JSON + flat little-endian payload."""
+    """Write named arrays as header-JSON + flat little-endian payload, via a
+    temporary file beside ``path`` that is then moved into place."""
     entries = []
     payloads = []
     for name, arr in arrays.items():
@@ -365,28 +369,52 @@ def save_tensors(path, arrays, meta=None):
             raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
         entries.append({"name": name, "shape": list(arr.shape), "dtype": tag})
         payloads.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    header = {"format": "docbench-tensors-v1", "tensors": entries}
+    header = {"format": _FORMAT, "tensors": entries}
     if meta is not None:
         header["meta"] = meta
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for blob in payloads:
-            fh.write(blob)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for blob in payloads:
+                fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_tensors(path):
-    """Inverse of :func:`save_tensors`; returns ``(arrays, meta)``."""
+    """Inverse of :func:`save_tensors`; returns ``(arrays, meta)``.
+
+    Raises ``ValueError`` naming ``path`` on a damaged header, an unknown
+    format or dtype tag, a short payload, or bytes after the last payload.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "docbench-tensors-v1":
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable header ({exc})") from None
+        if not (line.endswith(b"\n") and isinstance(header, dict)
+                and header.get("format") == _FORMAT):
             raise ValueError(f"{path}: not a docbench tensor file")
         arrays = {}
-        for entry in header["tensors"]:
-            dtype = np.dtype(_TAG_DTYPES[entry["dtype"]]).newbyteorder("<")
+        for entry in header.get("tensors", []):
+            name = entry.get("name")
+            dtype = _TAG_DTYPES.get(entry.get("dtype"))
+            if dtype is None:
+                raise ValueError(f"{path}: tensor {name!r} has unknown dtype tag")
+            dtype = dtype.newbyteorder("<")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
+            size = int(np.prod(shape)) * dtype.itemsize
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ValueError(f"{path}: tensor {name!r} needs {size} bytes, "
+                                 f"file has {len(raw)} left")
             arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            arrays[entry["name"]] = arr.astype(dtype.newbyteorder("="))
+            arrays[name] = arr.astype(dtype.newbyteorder("="))
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last tensor")
     return arrays, header.get("meta")

@@ -297,6 +297,16 @@ def test_ensemble_eval_rejects_class_count_mismatch(work, tmp_path):
     assert proc.stderr.strip().startswith("error:")
 
 
+def test_ensemble_eval_rejects_swapped_checkpoints(work, tmp_path, capsys):
+    image_ck = os.path.join(work["pre"], "checkpoint.tensors")
+    text_ck = os.path.join(work["txt"], "checkpoint.tensors")
+    assert cli.main(["ensemble-eval", "--data", work["data"],
+                     "--image-checkpoint", text_ck, "--text-checkpoint", image_ck,
+                     "--out", str(tmp_path / "swapped")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {text_ck}: ") and "model" in err
+
+
 @pytest.mark.parametrize("command,key", [("pretrain", "pretrain.epochs"),
                                          ("finetune", "finetune.epochs"),
                                          ("train-text", "text.epochs")])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from docbench import ops
+from docbench.layers import Ctx, MBConv
 from docbench.tensor import Tensor
 from helpers import fd_gradcheck
 
@@ -134,6 +135,35 @@ def test_conv2d(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_conv2d_pointwise(seed):
+    # 1x1 at stride 1 runs as a plain matmul; check it with and without bias
+    rng = np.random.default_rng(seed)
+    n, c, k = rand_shape(rng, 3, 1, 3)
+    h, wd = rand_shape(rng, 2, 1, 4)
+    x = rng.standard_normal((n, c, h, wd))
+    w = rng.standard_normal((k, c, 1, 1))
+    b = rng.standard_normal(k)
+    for padding in ("same", "valid"):
+        fd_gradcheck(lambda xx, ww, bb: ops.conv2d(xx, ww, bb, 1, padding),
+                     [x, w, b], rng=rng)
+        fd_gradcheck(lambda xx, ww: ops.conv2d(xx, ww, None, 1, padding),
+                     [x, w], rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_depthwise_conv2d_stride2_same(seed):
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 4))
+    f = int(rng.integers(1, 4))
+    h, wd = rand_shape(rng, 2, 2, 6)
+    x = rng.standard_normal((int(rng.integers(1, 3)), c, h, wd))
+    w = rng.standard_normal((c, 1, f, f))
+    fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=2,
+                                                     padding="same"),
+                 [x, w], rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_depthwise_conv2d(seed):
     rng = np.random.default_rng(seed)
     c = int(rng.integers(1, 4))
@@ -191,6 +221,56 @@ def test_layer_norm(seed):
     fd_gradcheck(ops.layer_norm,
                  [rng.standard_normal((b, h)), rng.standard_normal(h) + 1.0,
                   rng.standard_normal(h)], rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_layer_norm_3d(seed):
+    # the (batch, tokens, hidden) shape the text model normalizes
+    rng = np.random.default_rng(seed)
+    b, t, h = rand_shape(rng, 3, 1, 4)
+    h += 1
+    fd_gradcheck(ops.layer_norm,
+                 [rng.standard_normal((b, t, h)), rng.standard_normal(h) + 1.0,
+                  rng.standard_normal(h)], rng=rng)
+
+
+def _norm_inputs(rng):
+    n, c, h, w = rand_shape(rng, 4, 1, 3)
+    n += 1  # at least two values per channel statistic
+    return (rng.standard_normal((n, c, h, w)) * 2.0 + 0.5,
+            rng.standard_normal(c) + 1.0, rng.standard_normal(c))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_norm_training(seed):
+    rng = np.random.default_rng(seed)
+    fd_gradcheck(lambda x, g, b: ops.batch_norm(x, g, b)[0], _norm_inputs(rng),
+                 rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_norm_eval(seed):
+    rng = np.random.default_rng(seed)
+    x, gamma, beta = _norm_inputs(rng)
+    running = (rng.standard_normal(x.shape[1]),
+               rng.uniform(0.2, 3.0, size=x.shape[1]))
+    fd_gradcheck(lambda xx, g, b: ops.batch_norm(xx, g, b, running=running)[0],
+                 [x, gamma, beta], rng=rng)
+
+
+def test_mbconv_rerun_is_bit_identical():
+    def run():
+        rng = np.random.default_rng(5)
+        block = MBConv(4, 4, 6, 3, 1, 0.25, rng=np.random.default_rng(6))
+        x = Tensor(rng.standard_normal((3, 4, 6, 6)), requires_grad=True)
+        out = block(x, Ctx(training=True))
+        (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+        return [out.data, x.grad] + [p.grad for _, p in block.named_params()]
+
+    first, second = run(), run()
+    assert len(first) == len(second) > 2
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", range(5))

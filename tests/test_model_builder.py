@@ -402,6 +402,19 @@ def test_checkpoint_skip_groups_keeps_fresh_head(tmp_path):
             assert np.array_equal(p.data, fresh_head[n])
 
 
+def test_checkpoint_meta_must_match_the_network(tmp_path):
+    path = str(tmp_path / "net.tensors")
+    micro_net(num_classes=4).save(path, extra_meta={"model": "image",
+                                                    "num_classes": 4,
+                                                    "input_size": 16})
+    with pytest.raises(ValueError, match=r"net\.tensors: checkpoint input_size"):
+        micro_net(input_size=24).load(path)
+    with pytest.raises(ValueError, match="checkpoint num_classes is 4"):
+        micro_net(num_classes=5).load(path)
+    # a fresh head for a new class count is what skipping the head is for
+    assert micro_net(num_classes=5).load(path, skip_groups=("head",))["model"] == "image"
+
+
 def test_checkpoint_shape_mismatch(tmp_path):
     from docbench.tensor import ShapeError
     net = micro_net(num_classes=4)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docbench import ops
-from docbench.tensor import ShapeError, Tensor, load_tensors, save_tensors, trace
+from docbench.layers import BatchNorm2d, Ctx
+from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
+                             save_tensors, trace)
 from helpers import conv2d_loops, maxpool_scan
 
 
@@ -41,6 +43,15 @@ class TestConv2d:
         w = rng.standard_normal((4, 3, 3, 3))
         got = ops.conv2d(Tensor(x), Tensor(w), stride=stride).data
         assert np.max(np.abs(got - conv2d_loops(x, w, stride=stride))) < 1e-12
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_pointwise_matches_nested_loop_oracle(self, padding):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 3, 5, 4))
+        w = rng.standard_normal((6, 3, 1, 1))
+        b = rng.standard_normal(6)
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+        assert np.max(np.abs(got - conv2d_loops(x, w, b))) < 1e-12
 
     def test_same_padding_keeps_ceil_extent(self):
         x = Tensor(np.zeros((1, 2, 7, 7)))
@@ -100,6 +111,96 @@ class TestDepthwise:
         bumped = ops.depthwise_conv2d(Tensor(x2), Tensor(w)).data
         assert np.array_equal(base[:, 0], bumped[:, 0])
         assert not np.allclose(base[:, 1], bumped[:, 1])
+
+
+def _two_branch_sigmoid(x):
+    """The former mask formula: exp of -|x| only, split at zero."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    """``_sigmoid`` against the two-branch formula, in absolute error.
+
+    Relative error is not kept in the far negative tail: there ``1+tanh``
+    rounds to 0 while the two-branch formula still resolves ``exp(x)``.
+    """
+
+    def test_matches_two_branch_formula(self):
+        x = np.random.default_rng(0).standard_normal(100_000)
+        x = np.concatenate([x, [1e3, -1e3, 0.0]])
+        with np.errstate(all="raise"):
+            got = _sigmoid(x)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - _two_branch_sigmoid(x))) <= 1e-15
+        assert got[-3:].tolist() == [1.0, 0.0, 0.5]
+
+    def test_keeps_single_precision(self):
+        x = np.random.default_rng(1).standard_normal((4, 5)).astype(np.float32)
+        with np.errstate(all="raise"):
+            got = _sigmoid(x)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - _two_branch_sigmoid(x.astype(np.float64)))) < 1e-7
+
+
+def _composite_batch_norm(layer, x, training):
+    """Batch norm from primitive Tensor ops, updating ``layer``'s buffers as
+    ``BatchNorm2d`` does."""
+    c = x.shape[1]
+    if training:
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        normed = centered / (var + layer.eps).sqrt()
+        m = layer.momentum
+        layer.running_mean += m * (mean.data.reshape(c) - layer.running_mean)
+        layer.running_var += m * (var.data.reshape(c) - layer.running_var)
+    else:
+        mean = Tensor(layer.running_mean.reshape(1, c, 1, 1))
+        var = Tensor(layer.running_var.reshape(1, c, 1, 1))
+        normed = (x - mean) / (var + layer.eps).sqrt()
+    return normed * layer.gamma.reshape(1, c, 1, 1) + layer.beta.reshape(1, c, 1, 1)
+
+
+class TestFusedNorms:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_matches_composite(self, training):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 4, 5, 2)) * 3.0 + 1.0
+        proj = rng.standard_normal(x.shape)
+        gamma, beta = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
+        results = []
+        for forward in ("fused", "composite"):
+            layer = BatchNorm2d(4)
+            layer.gamma.data[:] = gamma
+            layer.beta.data[:] = beta
+            layer.running_mean[:] = [0.5, -1.0, 0.0, 2.0]
+            layer.running_var[:] = [1.5, 0.3, 1.0, 4.0]
+            xt = Tensor(x, requires_grad=True)
+            if forward == "fused":
+                out = layer(xt, Ctx(training=training))
+            else:
+                out = _composite_batch_norm(layer, xt, training)
+            (out * Tensor(proj)).sum().backward()
+            results.append((out.data, xt.grad, layer.gamma.grad, layer.beta.grad,
+                            layer.running_mean.copy(), layer.running_var.copy()))
+        fused, composite = results
+        for a, b in zip(fused[:4], composite[:4]):
+            assert np.max(np.abs(a - b)) < 1e-12
+        for a, b in zip(fused[4:], composite[4:]):
+            assert np.array_equal(a, b)
+
+    def test_eval_batch_norm_is_one_tape_node(self):
+        layer = BatchNorm2d(2)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 2, 3, 3)),
+                   requires_grad=True)
+        out = layer(x, Ctx(training=False))
+        assert out.op == "batch_norm"
+        assert {p.op for p in out.parents} == {"leaf"}
 
 
 class TestMaxPool:
@@ -267,6 +368,34 @@ class TestSerialization:
         save_tensors(p1, arr)
         save_tensors(p2, arr)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_leaves_only_the_file(self, tmp_path):
+        save_tensors(tmp_path / "a.bin", {"x": np.ones(3)})
+        save_tensors(tmp_path / "a.bin", {"x": np.zeros(3)})  # replaced whole
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+        assert np.array_equal(load_tensors(tmp_path / "a.bin")[0]["x"], np.zeros(3))
+
+    @staticmethod
+    def _damaged(tmp_path, edit):
+        path = tmp_path / "ckpt.bin"
+        save_tensors(path, {"w": np.ones((20, 20)), "b": np.ones(3)}, meta={"k": 1})
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda raw: raw[:-100], "'w' needs 3200 bytes, file has 3124"),
+        (lambda raw: raw[:40], "unreadable header"),
+        (lambda raw: raw + b"\x00\x01", "after the last tensor"),
+        (lambda raw: raw.replace(b"docbench-tensors-v1", b"docbench-tensors-v9"),
+         "not a docbench tensor file"),
+        (lambda raw: raw.replace(b'"float64"', b'"float16"', 1), "unknown dtype"),
+    ], ids=["truncated-payload", "truncated-header", "trailing-bytes",
+            "format-tag", "dtype-tag"])
+    def test_damaged_file_names_the_path(self, tmp_path, edit, match):
+        path = self._damaged(tmp_path, edit)
+        with pytest.raises(ValueError, match=match) as info:
+            load_tensors(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestShapeAlgebra:
