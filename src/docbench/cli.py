@@ -144,16 +144,12 @@ def _single_split(cfg: Config, section: str, corpus: Corpus, seed: int):
     return plans[index]
 
 
-def _parallel_cfg(args, cfg: Config, n: int) -> ParallelConfig:
-    return ParallelConfig(k=args.workers, n=n, seed=args.seed,
-                          reduction=cfg.get("run", "reduction", "ring"))
-
-
-def _epochs(cfg: Config, section: str) -> int:
-    epochs = cfg.getint(section, "epochs")
-    if epochs < 1:
-        raise ConfigError(f"{section}.epochs must be >= 1, got {epochs}")
-    return epochs
+def _count(cfg: Config, section: str, key: str, minimum: int = 1) -> int:
+    """An integer count that must be at least ``minimum``."""
+    value = cfg.getint(section, key)
+    if value < minimum:
+        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
+    return value
 
 
 # -- artifact writing ---------------------------------------------------------------
@@ -228,7 +224,8 @@ def _train_image(args, cfg: Config, section: str, initial=None,
                  extra=None) -> int:
     """Shared pretrain/finetune command: train, then write its artifacts."""
     started = time.time()
-    epochs = _epochs(cfg, section)
+    epochs = _count(cfg, section, "epochs")
+    eval_batch = _count(cfg, "run", "eval_batch")
     corpus = load_corpus(args.data)
     plan = _single_split(cfg, section, corpus, args.seed)
     dims = _scaled_dims(cfg)
@@ -258,12 +255,12 @@ def _train_image(args, cfg: Config, section: str, initial=None,
     def opt_factory(net):
         return SgdOptimizer(net, lambda t: stlr_lr(t, schedule), sgd)
 
-    val_loader = ImageLoader(corpus, plan.val, cfg.getint("run", "eval_batch"),
+    val_loader = ImageLoader(corpus, plan.val, eval_batch,
                              image_size=dims.input_size, augment=None,
                              seed=args.seed, drop_last=False)
     net, metrics = train_parallel(
         model_factory, opt_factory, train_loader, image_loss,
-        _parallel_cfg(args, cfg, n), epochs,
+        ParallelConfig(args.workers, n, args.seed), epochs,
         eval_fn=lambda m: eval_image_accuracy(m, val_loader))
     return _write_training(section, args, cfg, started, net, metrics,
                            net.checkpoint_meta(), extra)
@@ -288,14 +285,16 @@ def cmd_finetune(args, cfg: Config) -> int:
 
 def cmd_train_text(args, cfg: Config) -> int:
     started = time.time()
-    epochs = _epochs(cfg, "text")
+    epochs = _count(cfg, "text", "epochs")
+    eval_batch = _count(cfg, "run", "eval_batch")
+    if args.batch_per_worker_given:
+        global_batch = args.workers * args.batch_per_worker
+    else:
+        global_batch = _count(cfg, "text", "batch_size")
     corpus = load_corpus(args.data)
     plan = _single_split(cfg, "text", corpus, args.seed)
     max_len = _text_max_len(cfg, corpus)
 
-    global_batch = cfg.getint("text", "batch_size")
-    if args.batch_per_worker_given:
-        global_batch = args.workers * args.batch_per_worker
     if global_batch % args.workers:
         raise ConfigError(
             f"batch {global_batch} not divisible by {args.workers} workers")
@@ -320,12 +319,12 @@ def cmd_train_text(args, cfg: Config) -> int:
     def opt_factory(net):
         return AdamOptimizer(net, decay.eta_body, adam, group_rates=rates)
 
-    val_loader = TextLoader(corpus, plan.val, cfg.getint("run", "eval_batch"),
-                            max_len, seed=args.seed, drop_last=False)
+    val_loader = TextLoader(corpus, plan.val, eval_batch, max_len,
+                            seed=args.seed, drop_last=False)
     net, metrics = train_parallel(
         lambda: _build_text_net(cfg, corpus, args.seed), opt_factory,
-        train_loader, text_loss, _parallel_cfg(args, cfg, n), epochs,
-        eval_fn=lambda m: eval_text_accuracy(m, val_loader))
+        train_loader, text_loss, ParallelConfig(args.workers, n, args.seed),
+        epochs, eval_fn=lambda m: eval_text_accuracy(m, val_loader))
     return _write_training("train-text", args, cfg, started, net, metrics,
                            {**net.checkpoint_meta(),
                             "vocab_size": corpus.spec.vocab_size},
@@ -343,7 +342,8 @@ def _probs(net, loader) -> tuple:
 
 def cmd_ensemble_eval(args, cfg: Config) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
+    n_splits = _count(cfg, "splits", "n_splits")
+    eval_batch = _count(cfg, "run", "eval_batch")
     corpus = load_corpus(args.data)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
@@ -351,11 +351,10 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     text_net = _build_text_net(cfg, corpus, args.seed)
     text_net.load(args.text_checkpoint)
 
-    plans = make_splits(corpus, cfg.getint("splits", "n_splits"),
+    plans = make_splits(corpus, n_splits,
                         cfg.getint("splits", "train_size"),
                         cfg.getint("splits", "val_size"),
                         cfg.getint("splits", "per_class_quota"), args.seed)
-    eval_batch = cfg.getint("run", "eval_batch")
     max_len = _text_max_len(cfg, corpus)
     dims = _scaled_dims(cfg)
     use_grid = cfg.getbool("ensemble", "grid_search")
@@ -394,6 +393,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
 
     reducer = cfg.get("ensemble", "reducer", "median")
     report = report_csv(rows, reducer=reducer)
+    out = _ensure_out(args.out)
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:
         fh.write(report)
@@ -413,12 +413,13 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
 
 def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
+    steps = _count(cfg, "bench", "steps")
+    warmup = _count(cfg, "bench", "warmup", minimum=0)
+    n = args.batch_per_worker if args.batch_per_worker_given \
+        else _count(cfg, "bench", "batch_per_worker")
     corpus = load_corpus(args.data)
     dims = _scaled_dims(cfg)
     k_list = args.k_list or cfg.getints("bench", "k_list")
-    n = args.batch_per_worker if args.batch_per_worker_given \
-        else cfg.getint("bench", "batch_per_worker")
 
     images = np.stack([
         d.image if d.image.shape[-1] == dims.input_size
@@ -436,11 +437,10 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     report = measure_speedup(
         lambda: _build_image_net(cfg, corpus.num_classes, args.seed),
         opt_factory, batch_factory, image_loss, k_list, n,
-        steps=cfg.getint("bench", "steps"),
-        warmup=cfg.getint("bench", "warmup"),
-        mode=cfg.get("bench", "mode", "weak"),
+        steps=steps, warmup=warmup, mode=cfg.get("bench", "mode", "weak"),
         seed=args.seed)
 
+    out = _ensure_out(args.out)
     csv_path = os.path.join(out, "scaling.csv")
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())

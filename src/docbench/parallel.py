@@ -1,11 +1,13 @@
 """Synchronous data-parallel training across k in-process workers.
 
 Each worker thread owns a full model replica and a disjoint shard of every
-global batch.  Per step the shard-mean gradients are combined with a ring
-all-reduce (k chunks, k-1 scatter-reduce phases then k-1 all-gather phases,
-one barrier per phase) and every replica applies the identical optimizer
-step, so replicas never diverge.  A naive fixed-order summation collective
-is kept alongside as the reduction oracle.
+global batch.  Per step the shard-mean gradients are summed by
+``ring_allreduce`` (k chunks, k-1 scatter-reduce phases then k-1 all-gather
+phases): every worker posts its flat gradient, worker 0 runs the ring over
+the posted list between two barriers, and each worker takes its own result.
+Every replica then applies the identical optimizer step, so replicas never
+diverge.  ``naive_allreduce``, a fixed-order summation, is the oracle the
+ring is tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Ctx, Network
+from .layers import Ctx
 from .ops import softmax_crossentropy
 
 MAX_WORKERS_ENV = "DOCBENCH_MAX_WORKERS"
@@ -30,28 +32,14 @@ class ParallelConfig:
     k: int = 1
     n: int = 8                  # per-worker minibatch
     seed: int = 0
-    reduction: str = "ring"     # ring | naive
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
             raise ValueError(f"k and n must be >= 1, got k={self.k}, n={self.n}")
-        if self.reduction not in ("ring", "naive"):
-            raise ValueError(f"reduction must be ring|naive, got {self.reduction!r}")
 
     @property
     def global_batch(self):
         return self.k * self.n
-
-
-def shard_batch(indices, k: int):
-    """Split a batch index list into k equal contiguous disjoint shards."""
-    indices = list(indices)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(indices) % k:
-        raise ValueError(f"batch of {len(indices)} not divisible by k={k}")
-    n = len(indices) // k
-    return [indices[w * n:(w + 1) * n] for w in range(k)]
 
 
 # -- collectives ------------------------------------------------------------------
@@ -105,53 +93,27 @@ def naive_allreduce(vectors):
 
 
 class _Collective:
-    """Thread-side all-reduce among k workers over an in-memory chunk table."""
+    """Rendezvous of k worker threads around ring_allreduce: each worker
+    posts its vector, worker 0 runs the ring over the posted list between
+    two barriers, and each worker takes its own result."""
 
-    def __init__(self, k: int, reduction: str = "ring"):
+    def __init__(self, k: int):
         self.k = k
-        self.reduction = reduction
         self.barrier = threading.Barrier(k)
-        self.table = [None] * k
-        self.result = None
-
-    def abort(self):
-        self.barrier.abort()
+        self.posted = [None] * k
+        self.results = None
 
     def allreduce(self, w: int, vec: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return vec.copy()
-        if self.reduction == "naive":
-            return self._naive(w, vec)
-        return self._ring(w, vec)
-
-    def _naive(self, w, vec):
-        self.table[w] = vec
+        self.posted[w] = vec
         self.barrier.wait()
         if w == 0:
-            self.result = naive_allreduce(self.table)[0]
+            self.results = ring_allreduce(self.posted)
+        # worker 0 replaces results only after the next call's first barrier,
+        # which every worker reaches after taking its own result
         self.barrier.wait()
-        out = self.result.copy()
-        self.barrier.wait()
-        return out
-
-    def _ring(self, w, vec):
-        # Same schedule as ring_allreduce; neighbours never touch the chunk
-        # slot being read in the same phase, so one barrier per phase is
-        # enough and the addition order is identical to the pure function.
-        k = self.k
-        mine = [c.copy() for c in np.array_split(vec.ravel(), k)]
-        self.table[w] = mine
-        self.barrier.wait()
-        src = (w - 1) % k
-        for phase in range(k - 1):
-            c = (src - phase) % k
-            mine[c] = mine[c] + self.table[src][c]
-            self.barrier.wait()
-        for phase in range(k - 1):
-            c = (src + 1 - phase) % k
-            mine[c] = self.table[src][c]
-            self.barrier.wait()
-        return np.concatenate(mine).reshape(vec.shape)
+        return self.results[w]
 
 
 def _run_workers(k: int, body):
@@ -182,20 +144,16 @@ def _run_workers(k: int, body):
 # -- synchronous data-parallel training -----------------------------------------
 
 
-def _trainable(net: Network):
-    return [(name, p) for name, p in net.named_params() if p.requires_grad]
-
-
-def _flatten_grads(pairs, extra):
+def _flatten_grads(params, extra):
     parts = [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-             for _, p in pairs]
+             for p in params]
     parts.append(np.asarray([extra], dtype=np.float64))
     return np.concatenate(parts)
 
 
-def _assign_grads(pairs, flat):
+def _assign_grads(params, flat):
     offset = 0
-    for _, p in pairs:
+    for p in params:
         size = p.data.size
         p.grad = flat[offset:offset + size].reshape(p.data.shape)
         offset += size
@@ -222,8 +180,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
     without eval.
     """
     k = cfg.k
-    collective = _Collective(k, cfg.reduction)
-    check = _Collective(k) if (debug and k > 1) else None
+    collective = _Collective(k)
     shared = {}
 
     def body(w: int):
@@ -233,6 +190,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
             ctx = Ctx(training=True,
                       rng=np.random.default_rng(
                           np.random.SeedSequence([cfg.seed, w])))
+            params = [p for _, p in net.named_params() if p.requires_grad]
             buffers = [b for _, b in net.named_buffers()]
             metrics = []
             for epoch in range(epochs):
@@ -241,7 +199,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                 if k > 1:
                     collective.barrier.wait()
                 started = time.perf_counter()
-                for batch in loader.epoch(epoch):
+                for step, batch in enumerate(loader.epoch(epoch)):
                     if batch[0].shape[0] != cfg.global_batch:
                         raise ValueError(
                             f"loader batch {batch[0].shape[0]} != global "
@@ -251,18 +209,21 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                     opt.zero_grad()
                     loss = loss_fn(net, shard, ctx)
                     loss.backward()
-                    pairs = _trainable(net)
-                    flat = _flatten_grads(pairs, loss.item())
+                    flat = _flatten_grads(params, loss.item())
                     reduced = collective.allreduce(w, flat)
                     if k > 1:
                         reduced = reduced / k
-                    global_loss = _assign_grads(pairs, reduced)
+                    global_loss = _assign_grads(params, reduced)
                     peak_lr = max(peak_lr, opt.current_lr())
-                    opt.step()
+                    try:
+                        opt.step()
+                    except FloatingPointError as exc:
+                        raise FloatingPointError(
+                            f"epoch {epoch}, step {step}: {exc}") from None
                     losses.append(float(global_loss))
-                    if check is not None:
-                        flat_p = np.concatenate([p.data.ravel() for _, p in pairs])
-                        all_p = check.allreduce(w, flat_p)
+                    if debug and k > 1:
+                        flat_p = np.concatenate([p.data.ravel() for p in params])
+                        all_p = collective.allreduce(w, flat_p)
                         dev = np.max(np.abs(flat_p - all_p / k))
                         if dev > 1e-6:
                             raise RuntimeError(
@@ -286,9 +247,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                 shared["net"] = net
                 shared["metrics"] = metrics
         except BaseException:
-            collective.abort()
-            if check is not None:
-                check.abort()
+            collective.barrier.abort()
             raise
 
     _run_workers(k, body)

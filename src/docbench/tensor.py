@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +70,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -255,10 +251,9 @@ class Tensor:
         """Populate ``grad`` on every tensor this scalar depends on."""
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
-        graph = trace(self)
+        order = trace(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(graph.nodes):
-            t = node.tensor
+        for t in reversed(order):
             if t._vjp is None or t.grad is None:
                 continue
             grads = t._vjp(t.grad)
@@ -309,26 +304,12 @@ def _expand_reduced(g, shape, axis, keepdims):
     return np.broadcast_to(g, shape).copy()
 
 
-# -- explicit computation graph ------------------------------------------------
+# -- tape ------------------------------------------------------------------------
 
 
-@dataclass
-class GraphNode:
-    op: str
-    inputs: tuple  # positions of parent nodes within the graph
-    tensor: Tensor
-
-
-@dataclass
-class ComputationGraph:
-    nodes: list  # GraphNode, topologically ordered (parents first)
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-def trace(root: Tensor) -> ComputationGraph:
-    """Topologically ordered op records reachable from ``root``."""
+def trace(root: Tensor) -> list:
+    """Tensors reachable from ``root``, topologically ordered (parents first,
+    ``root`` last)."""
     order = []
     seen = {id(root)}
     stack = [(root, iter(root.parents))]
@@ -344,11 +325,7 @@ def trace(root: Tensor) -> ComputationGraph:
         if not advanced:
             order.append(node)
             stack.pop()
-    position = {id(t): i for i, t in enumerate(order)}
-    nodes = [
-        GraphNode(t.op, tuple(position[id(p)] for p in t.parents), t) for t in order
-    ]
-    return ComputationGraph(nodes)
+    return order
 
 
 # -- serialization ---------------------------------------------------------------

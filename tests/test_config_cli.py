@@ -4,6 +4,9 @@ The CLI checks run the real entry point in a subprocess and chain artifacts:
 generated corpus -> pretrained checkpoint -> fine-tune / text / ensemble.
 """
 
+import ast
+import configparser
+import glob
 import json
 import os
 import subprocess
@@ -68,6 +71,25 @@ def test_typed_getters():
     with pytest.raises(ConfigError, match="missing"):
         cfg.getint("corpus", "nonexistent_key")
     assert cfg.get("corpus", "nonexistent_key") is None
+
+
+def _profile_keys(name):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(profile_path(name))
+    return {(section, key) for section in cp.sections() for key in cp[section]}
+
+
+def test_profiles_have_no_dead_keys():
+    """Both profiles list the same keys, and the package reads each one."""
+    desk = _profile_keys("desk")
+    assert desk == _profile_keys("full")
+    literals = set()
+    for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+        with open(path) as fh:
+            literals |= {node.value for node in ast.walk(ast.parse(fh.read()))
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str)}
+    assert sorted(key for _, key in desk if key not in literals) == []
 
 
 def test_snapshot_round_trips_sections():
@@ -321,6 +343,33 @@ def test_zero_epochs_fail_before_any_artifact(work, tmp_path, capsys,
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and key in err
     assert not (out / "checkpoint.tensors").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("pretrain", "run.eval_batch", "0"),
+    ("train-text", "run.eval_batch", "0"),
+    ("train-text", "text.batch_size", "0"),
+    ("ensemble-eval", "splits.n_splits", "0"),
+    ("ensemble-eval", "run.eval_batch", "0"),
+    ("bench-scaling", "bench.steps", "0"),
+    ("bench-scaling", "bench.warmup", "-1"),
+    ("bench-scaling", "bench.batch_per_worker", "0"),
+])
+def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
+                                             command, key, value):
+    out = tmp_path / "bad"
+    argv = [command, "--data", work["data"], "--out", str(out),
+            "--set", f"{key}={value}"]
+    if command == "ensemble-eval":
+        argv += ["--image-checkpoint", os.path.join(work["pre"], "checkpoint.tensors"),
+                 "--text-checkpoint", os.path.join(work["txt"], "checkpoint.tensors")]
+    if command == "bench-scaling":
+        argv += ["--set", "bench.mode=strong"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {key} must be >= ")
+    for name in ("report.csv", "metrics.csv", "scaling.csv"):
+        assert not (out / name).exists()
 
 
 def test_deterministic_rerun_reproduces_metrics(work, tmp_path):

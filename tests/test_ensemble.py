@@ -107,14 +107,28 @@ def test_predict_classes_rows():
     np.testing.assert_array_equal(predict_classes(p), [0, 1, 0])
 
 
+# Rounding a product can create or break ties (0.5 * 5e-324 rounds to 0), so
+# the argmax is only invariant where scaling is exact: power-of-two scales of
+# entries that are 0 or far from the subnormal range.
+@settings(max_examples=100, deadline=None)
+@given(
+    p=hnp.arrays(np.float64, st.integers(1, 12),
+                 elements=st.just(0.0) | st.floats(1e-300, 1)),
+    scale=st.integers(-7, 6).map(lambda e: 2.0 ** e),
+)
+def test_predict_class_invariant_to_positive_rescaling(p, scale):
+    assert predict_class(p) == predict_class(p * scale)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     p=hnp.arrays(np.float64, st.integers(1, 12),
                  elements=st.floats(0, 1, allow_nan=False)),
     scale=st.floats(0.01, 100.0, allow_nan=False),
 )
-def test_predict_class_invariant_to_positive_rescaling(p, scale):
-    assert predict_class(p) == predict_class(p * scale)
+def test_predicted_class_stays_maximal_under_positive_rescaling(p, scale):
+    scaled = p * scale
+    assert scaled[predict_class(p)] == scaled.max()
 
 
 # -- brute-force oracles -------------------------------------------------------------

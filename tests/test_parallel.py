@@ -1,21 +1,24 @@
-"""Ring all-reduce against a fixed-order summation oracle, batch sharding,
-multi-worker training equivalence, and the scaling benchmark harness."""
+"""Ring all-reduce against a fixed-order summation oracle, the threaded
+collective against ring_allreduce, multi-worker training equivalence,
+worker failures and non-finite gradients, and the scaling benchmark
+harness."""
 
+import collections
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-
-from hypothesis import given, settings, strategies as st
 
 from helpers import FlatImageModel, ReplayLoader, flat_params
 
 from docbench.layers import Ctx
 from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import (CSV_HEADER, MAX_WORKERS_ENV, ParallelConfig,
-                               eval_image_accuracy, image_loss,
-                               measure_speedup, naive_allreduce,
-                               ring_allreduce, shard_batch, train_parallel)
+                               _Collective, _run_workers, eval_image_accuracy,
+                               image_loss, measure_speedup, naive_allreduce,
+                               ring_allreduce, train_parallel)
 
 
 # -- all-reduce oracle ---------------------------------------------------------------
@@ -67,30 +70,60 @@ def test_ring_input_validation():
         ring_allreduce([np.zeros(3), np.zeros(4)])
 
 
-# -- sharding ------------------------------------------------------------------------
+def run_watched(target, timeout=60):
+    """Run target() in a watched thread; return its exception, if any."""
+    outcome = {}
+
+    def run():
+        try:
+            target()
+        except BaseException as exc:  # noqa: BLE001 - inspected by the test
+            outcome["error"] = exc
+
+    before = set(threading.enumerate())
+    watcher = threading.Thread(target=run, daemon=True)
+    watcher.start()
+    watcher.join(timeout)
+    assert not watcher.is_alive(), "hung on a barrier"
+    assert set(threading.enumerate()) == before, "worker threads left running"
+    return outcome.get("error")
 
 
-@settings(max_examples=100, deadline=None)
-@given(k=st.integers(1, 8), per=st.integers(1, 16))
-def test_shard_batch_partitions(k, per):
-    indices = np.arange(k * per)
-    shards = shard_batch(indices, k)
-    assert len(shards) == k
-    assert all(len(s) == per for s in shards)
-    np.testing.assert_array_equal(np.concatenate(shards), indices)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_collective_matches_ring_allreduce(k):
+    """Back-to-back exchanges of changing lengths, some shorter than k, with
+    the last arrival rotating between workers and a short switch interval."""
+    rng = np.random.default_rng(k)
+    lengths = [1, k - 1, k, 37, 2, 101, 3]
+    posted = [[rng.normal(size=m) for _ in range(k)] for m in lengths]
+    collective = _Collective(k)
+    got = [[None] * k for _ in lengths]
 
+    def body(w):
+        try:
+            for i, vectors in enumerate(posted):
+                if (w + i) % k == 0:
+                    time.sleep(0.002)
+                got[i][w] = collective.allreduce(w, vectors[w])
+        except BaseException:
+            collective.barrier.abort()
+            raise
 
-def test_shard_batch_requires_divisibility():
-    with pytest.raises(ValueError):
-        shard_batch(np.arange(10), 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_watched(lambda: _run_workers(k, body)) is None
+    finally:
+        sys.setswitchinterval(interval)
+    for vectors, results in zip(posted, got):
+        for mine, expect in zip(results, ring_allreduce(vectors)):
+            assert np.array_equal(mine, expect)
 
 
 def test_parallel_config_validation():
     assert ParallelConfig(k=2, n=4, seed=0).global_batch == 8
     with pytest.raises(ValueError):
         ParallelConfig(k=0, n=4, seed=0)
-    with pytest.raises(ValueError):
-        ParallelConfig(k=2, n=4, seed=0, reduction="tree")
 
 
 # -- training equivalence ------------------------------------------------------------
@@ -224,26 +257,13 @@ def marked_problem(k, n, steps=3):
     return loader
 
 
-def train_in_thread(timeout=60, **kwargs):
-    """Run train_parallel at k=3 in a watched thread; return its exception."""
-    outcome = {}
-
-    def target():
-        try:
-            train_parallel(lambda: FlatImageModel(36, 3, seed=1),
-                           lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
-                           marked_problem(3, 2), cfg=ParallelConfig(k=3, n=2),
-                           epochs=3, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - inspected by the test
-            outcome["error"] = exc
-
-    before = set(threading.enumerate())
-    watcher = threading.Thread(target=target, daemon=True)
-    watcher.start()
-    watcher.join(timeout)
-    assert not watcher.is_alive(), "train_parallel hung after a worker failed"
-    assert set(threading.enumerate()) == before, "worker threads left running"
-    return outcome.get("error")
+def train_in_thread(k=3, **kwargs):
+    """Run train_parallel in a watched thread; return its exception."""
+    return run_watched(lambda: train_parallel(
+        lambda: FlatImageModel(36, 3, seed=1),
+        lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
+        marked_problem(k, 2), cfg=ParallelConfig(k=k, n=2), epochs=3,
+        **kwargs))
 
 
 def test_loss_error_on_one_worker_surfaces():
@@ -262,6 +282,22 @@ def test_eval_error_on_worker_zero_surfaces():
 
     error = train_in_thread(loss_fn=image_loss, eval_fn=eval_fn)
     assert isinstance(error, Boom) and str(error) == "eval"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_finite_gradient_names_epoch_and_step(k):
+    calls = collections.Counter()
+
+    def loss_fn(net, shard, ctx):
+        # every worker's loss turns NaN at epoch 1, step 2 (3 steps per epoch)
+        calls[threading.get_ident()] += 1
+        loss = image_loss(net, shard, ctx)
+        return loss * float("nan") if calls[threading.get_ident()] == 6 else loss
+
+    error = train_in_thread(k=k, loss_fn=loss_fn)
+    assert isinstance(error, FloatingPointError)
+    assert str(error).startswith(
+        "epoch 1, step 2: non-finite gradient for parameter 'body.")
 
 
 # -- scaling benchmark ---------------------------------------------------------------

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docbench import ops
+from docbench import cli, ops
+from docbench.config import Config
+from docbench.data import ImageLoader, TextLoader, generate_corpus
 from docbench.layers import BatchNorm2d, Ctx
+from docbench.parallel import batch_loss
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              save_tensors, trace)
 from helpers import conv2d_loops, maxpool_scan
@@ -294,11 +297,31 @@ class TestBackward:
 
     def test_trace_is_topologically_ordered(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        y = (x * 2.0 + 1.0).sum()
-        g = trace(y)
-        for pos, node in enumerate(g.nodes):
-            assert all(i < pos for i in node.inputs)
-        assert g.nodes[-1].tensor is y
+        h = x * 2.0
+        y = (h * h + h).sum()  # h has three consumers
+        order = trace(y)
+        position = {id(t): i for i, t in enumerate(order)}
+        assert len(position) == len(order)
+        for i, t in enumerate(order):
+            assert all(position[id(p)] < i for p in t.parents)
+        assert order[-1] is y
+
+    @pytest.mark.parametrize("model,nodes", [("image", 106), ("text", 118)])
+    def test_desk_training_tape_size(self, model, nodes):
+        """The benchmark's tensor.tape_nodes is len(trace(loss)) of one desk
+        training step."""
+        cfg = Config.load()
+        corpus = generate_corpus(cli._corpus_spec(cfg), seed=0)
+        if model == "image":
+            net = cli._build_image_net(cfg, corpus.num_classes, seed=0)
+            loader = ImageLoader(corpus, list(range(8)), 8, image_size=32)
+        else:
+            net = cli._build_text_net(cfg, corpus, seed=0)
+            loader = TextLoader(corpus, list(range(6)), 6,
+                                cli._text_max_len(cfg, corpus))
+        ctx = Ctx(training=True, rng=np.random.default_rng(0))
+        loss = batch_loss(net, next(iter(loader.epoch(0))), ctx)
+        assert len(trace(loss)) == nodes
 
     def test_each_node_visited_once(self):
         x = Tensor(2.0, requires_grad=True)
