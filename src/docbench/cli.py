@@ -44,57 +44,37 @@ REFERENCE_REDUCTION_AT_4 = 75.4
 # -- config -> domain objects -------------------------------------------------------
 
 
-def _template_map(cfg: Config, key: str):
-    raw = (cfg.get("corpus", key, "") or "").strip()
-    return tuple(int(t) for t in raw.replace(",", " ").split()) if raw else None
-
-
 def _corpus_spec(cfg: Config) -> CorpusSpec:
     docs = cfg.getints("corpus", "docs_per_class")
-    return CorpusSpec(
-        num_classes=cfg.getint("corpus", "num_classes"),
-        docs_per_class=docs[0] if len(docs) == 1 else docs,
-        image_size=cfg.getint("corpus", "image_size"),
-        vocab_size=cfg.getint("corpus", "vocab_size"),
-        text_len=cfg.getint("corpus", "text_len"),
-        image_noise=cfg.getfloat("corpus", "image_noise"),
-        text_noise=cfg.getfloat("corpus", "text_noise"),
-        modality_agreement=cfg.getfloat("corpus", "modality_agreement"),
-        image_template_map=_template_map(cfg, "image_template_map"),
-        text_template_map=_template_map(cfg, "text_template_map"),
-    )
+    return cfg.build(
+        CorpusSpec, "corpus", docs_per_class=docs[0] if len(docs) == 1 else docs,
+        image_template_map=tuple(cfg.getints("corpus", "image_template_map")) or None,
+        text_template_map=tuple(cfg.getints("corpus", "text_template_map")) or None)
 
 
 def _stage_specs(cfg: Config):
-    raw = (cfg.get("image_model", "stages", "") or "").strip()
-    if not raw:
-        return BASE_STAGES
     stages = []
-    for line in raw.splitlines():
+    for line in cfg.get("image_model", "stages").splitlines():
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 7:
-            raise ConfigError(
-                "each stage line needs: kind kernel channels repeats stride "
-                f"expansion se_ratio; got {line.strip()!r}")
-        stages.append(StageSpec(parts[0], int(parts[1]), int(parts[2]),
-                                int(parts[3]), int(parts[4]),
-                                expansion=int(parts[5]),
-                                se_ratio=float(parts[6])))
-    return tuple(stages)
+        try:
+            if len(parts) != 7:
+                raise ValueError("each stage line needs: kind kernel channels "
+                                 "repeats stride expansion se_ratio")
+            stages.append(StageSpec(parts[0], *map(int, parts[1:6]), float(parts[6])))
+        except ValueError as exc:
+            raise ConfigError(f"image_model.stages: {exc}; got {line.strip()!r}") from None
+    return tuple(stages) or BASE_STAGES
 
 
 def _scaled_dims(cfg: Config) -> ScaledDims:
-    spec = ScalingSpec(alpha=cfg.getfloat("image_model", "alpha"),
-                       beta=cfg.getfloat("image_model", "beta"),
-                       gamma=cfg.getfloat("image_model", "gamma"),
-                       phi=cfg.getfloat("image_model", "phi"))
-    dims = compound_scale(spec, cfg.getint("image_model", "base_input_size"),
-                          cfg.get("image_model", "binding", "constraint"))
-    override = (cfg.get("image_model", "input_size", "") or "").strip()
-    if override:
-        dims = dataclasses.replace(dims, input_size=int(override))
+    dims = compound_scale(cfg.build(ScalingSpec, "image_model"),
+                          cfg.getint("image_model", "base_input_size"),
+                          cfg.get("image_model", "binding"))
+    if cfg.get("image_model", "input_size").strip():
+        dims = dataclasses.replace(
+            dims, input_size=cfg.getint("image_model", "input_size"))
     return dims
 
 
@@ -107,49 +87,36 @@ def _build_image_net(cfg: Config, num_classes: int, seed: int):
         dropout_rate=cfg.getfloat("image_model", "dropout"),
         stem_channels=cfg.getint("image_model", "stem_channels"),
         head_channels=cfg.getint("image_model", "head_channels"),
-        activation=cfg.get("image_model", "activation", "swish"))
+        activation=cfg.get("image_model", "activation"))
 
 
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
-    raw = (cfg.get("text_model", "max_len", "") or "").strip()
-    return int(raw) if raw else corpus.spec.text_len + 2
+    if cfg.get("text_model", "max_len").strip():
+        return cfg.getint("text_model", "max_len")
+    return corpus.spec.text_len + 2
 
 
 def _build_text_net(cfg: Config, corpus: Corpus, seed: int):
-    spec = TextEncoderSpec(
-        num_layers=cfg.getint("text_model", "num_layers"),
-        hidden=cfg.getint("text_model", "hidden"),
-        heads=cfg.getint("text_model", "heads"),
-        vocab_size=corpus.spec.vocab_size,
-        max_len=_text_max_len(cfg, corpus),
-        num_classes=corpus.num_classes,
-        dropout=cfg.getfloat("text_model", "dropout"),
-        activation=cfg.get("text_model", "activation", "swish"))
+    spec = cfg.build(TextEncoderSpec, "text_model",
+                     vocab_size=corpus.spec.vocab_size,
+                     max_len=_text_max_len(cfg, corpus),
+                     num_classes=corpus.num_classes)
     return build_text_encoder(spec, seed)
 
 
 def _augment(cfg: Config, section: str):
-    if not cfg.getbool(section, "augment", False):
-        return None
-    return AugmentConfig(shear_min=cfg.getfloat(section, "shear_min"),
-                         shear_max=cfg.getfloat(section, "shear_max"))
+    return cfg.build(AugmentConfig, section) if cfg.getbool(section, "augment") else None
 
 
-def _single_split(cfg: Config, section: str, corpus: Corpus, seed: int):
-    index = cfg.getint(section, "split_index", 0)
-    plans = make_splits(corpus, index + 1,
-                        cfg.getint(section, "train_size"),
-                        cfg.getint(section, "val_size"),
-                        cfg.getint(section, "per_class_quota"), seed)
-    return plans[index]
-
-
-def _count(cfg: Config, section: str, key: str, minimum: int = 1) -> int:
-    """An integer count that must be at least ``minimum``."""
-    value = cfg.getint(section, key)
-    if value < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {value}")
-    return value
+def _splits(cfg: Config, section: str, corpus: Corpus, count: int, seed: int):
+    """``count`` split plans sized by the section's train_size, val_size and
+    per_class_quota."""
+    sizes = [cfg.getint(section, key)
+             for key in ("train_size", "val_size", "per_class_quota")]
+    try:
+        return make_splits(corpus, count, *sizes, seed)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 # -- artifact writing ---------------------------------------------------------------
@@ -209,8 +176,8 @@ def _write_training(command: str, args, cfg: Config, started: float, net,
 
 def cmd_gen_data(args, cfg: Config) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
     spec = _corpus_spec(cfg)
+    out = _ensure_out(args.out)
     corpus = generate_corpus(spec, args.seed)
     save_corpus(corpus, out)
     _write_manifest(out, "gen-data", args, cfg,
@@ -224,10 +191,11 @@ def _train_image(args, cfg: Config, section: str, initial=None,
                  extra=None) -> int:
     """Shared pretrain/finetune command: train, then write its artifacts."""
     started = time.time()
-    epochs = _count(cfg, section, "epochs")
-    eval_batch = _count(cfg, "run", "eval_batch")
+    epochs = cfg.getint(section, "epochs", minimum=1)
+    eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     corpus = load_corpus(args.data)
-    plan = _single_split(cfg, section, corpus, args.seed)
+    index = cfg.getint(section, "split_index", minimum=0)
+    plan = _splits(cfg, section, corpus, index + 1, args.seed)[index]
     dims = _scaled_dims(cfg)
     k, n = args.workers, args.batch_per_worker
     train_loader = ImageLoader(corpus, plan.train, k * n,
@@ -238,13 +206,10 @@ def _train_image(args, cfg: Config, section: str, initial=None,
         raise ConfigError(
             f"{section}: train split of {len(plan.train)} documents yields no "
             f"full batches of {k * n}")
-    schedule = StlrConfig(
-        eta_max=reference_lr(cfg.getfloat(section, "base_lr"), n, k),
-        total_steps=steps,
-        cut_frac=cfg.getfloat(section, "cut_frac"),
-        ratio=cfg.getfloat(section, "ratio"))
-    sgd = SgdConfig(momentum=cfg.getfloat(section, "momentum"),
-                    weight_decay=cfg.getfloat(section, "weight_decay"))
+    schedule = cfg.build(
+        StlrConfig, section, total_steps=steps,
+        eta_max=reference_lr(cfg.getfloat(section, "base_lr"), n, k))
+    sgd = cfg.build(SgdConfig, section)
 
     def model_factory():
         net = _build_image_net(cfg, corpus.num_classes, args.seed)
@@ -271,7 +236,9 @@ def cmd_pretrain(args, cfg: Config) -> int:
 
 
 def cmd_finetune(args, cfg: Config) -> int:
-    keep = tuple((cfg.get("finetune", "keep_trainable", "head") or "head").split())
+    keep = tuple(cfg.get("finetune", "keep_trainable").split())
+    if not keep:
+        raise ConfigError("finetune.keep_trainable must name at least one group")
 
     def initial(net: Network):
         # head stays at its fresh initialization for the new class count
@@ -285,14 +252,15 @@ def cmd_finetune(args, cfg: Config) -> int:
 
 def cmd_train_text(args, cfg: Config) -> int:
     started = time.time()
-    epochs = _count(cfg, "text", "epochs")
-    eval_batch = _count(cfg, "run", "eval_batch")
+    epochs = cfg.getint("text", "epochs", minimum=1)
+    eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     if args.batch_per_worker_given:
         global_batch = args.workers * args.batch_per_worker
     else:
-        global_batch = _count(cfg, "text", "batch_size")
+        global_batch = cfg.getint("text", "batch_size", minimum=1)
     corpus = load_corpus(args.data)
-    plan = _single_split(cfg, "text", corpus, args.seed)
+    index = cfg.getint("text", "split_index", minimum=0)
+    plan = _splits(cfg, "text", corpus, index + 1, args.seed)[index]
     max_len = _text_max_len(cfg, corpus)
 
     if global_batch % args.workers:
@@ -306,15 +274,9 @@ def cmd_train_text(args, cfg: Config) -> int:
         raise ConfigError(
             f"text: train split of {len(plan.train)} documents yields no "
             f"full batches of {global_batch}")
-    decay = LayerwiseDecayConfig(eta_top=cfg.getfloat("text", "eta_top"),
-                                 eta_body=cfg.getfloat("text", "eta_body"),
-                                 xi=cfg.getfloat("text", "xi"))
-    adam = AdamConfig(beta1=cfg.getfloat("text", "beta1"),
-                      beta2=cfg.getfloat("text", "beta2"),
-                      epsilon=cfg.getfloat("text", "epsilon"),
-                      weight_decay=cfg.getfloat("text", "weight_decay"))
-    num_layers = cfg.getint("text_model", "num_layers")
-    rates = group_lrs(decay, num_layers)
+    decay = cfg.build(LayerwiseDecayConfig, "text")
+    adam = cfg.build(AdamConfig, "text")
+    rates = group_lrs(decay, cfg.getint("text_model", "num_layers"))
 
     def opt_factory(net):
         return AdamOptimizer(net, decay.eta_body, adam, group_rates=rates)
@@ -342,8 +304,8 @@ def _probs(net, loader) -> tuple:
 
 def cmd_ensemble_eval(args, cfg: Config) -> int:
     started = time.time()
-    n_splits = _count(cfg, "splits", "n_splits")
-    eval_batch = _count(cfg, "run", "eval_batch")
+    n_splits = cfg.getint("splits", "n_splits", minimum=1)
+    eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     corpus = load_corpus(args.data)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
@@ -351,15 +313,11 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     text_net = _build_text_net(cfg, corpus, args.seed)
     text_net.load(args.text_checkpoint)
 
-    plans = make_splits(corpus, n_splits,
-                        cfg.getint("splits", "train_size"),
-                        cfg.getint("splits", "val_size"),
-                        cfg.getint("splits", "per_class_quota"), args.seed)
+    plans = _splits(cfg, "splits", corpus, n_splits, args.seed)
     max_len = _text_max_len(cfg, corpus)
     dims = _scaled_dims(cfg)
     use_grid = cfg.getbool("ensemble", "grid_search")
-    fixed = FusionWeights(cfg.getfloat("ensemble", "w1"),
-                          cfg.getfloat("ensemble", "w2"))
+    fixed = cfg.build(FusionWeights, "ensemble")
 
     rows = []
     for plan in plans:
@@ -391,8 +349,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
             "w1": weights.w1, "w2": weights.w2,
         })
 
-    reducer = cfg.get("ensemble", "reducer", "median")
-    report = report_csv(rows, reducer=reducer)
+    report = report_csv(rows, reducer=cfg.get("ensemble", "reducer"))
     out = _ensure_out(args.out)
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:
@@ -413,13 +370,13 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
 
 def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
-    steps = _count(cfg, "bench", "steps")
-    warmup = _count(cfg, "bench", "warmup", minimum=0)
+    steps = cfg.getint("bench", "steps", minimum=1)
+    warmup = cfg.getint("bench", "warmup", minimum=0)
     n = args.batch_per_worker if args.batch_per_worker_given \
-        else _count(cfg, "bench", "batch_per_worker")
+        else cfg.getint("bench", "batch_per_worker", minimum=1)
     corpus = load_corpus(args.data)
     dims = _scaled_dims(cfg)
-    k_list = args.k_list or cfg.getints("bench", "k_list")
+    k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
 
     images = np.stack([
         d.image if d.image.shape[-1] == dims.input_size
@@ -437,7 +394,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     report = measure_speedup(
         lambda: _build_image_net(cfg, corpus.num_classes, args.seed),
         opt_factory, batch_factory, image_loss, k_list, n,
-        steps=steps, warmup=warmup, mode=cfg.get("bench", "mode", "weak"),
+        steps=steps, warmup=warmup, mode=cfg.get("bench", "mode"),
         seed=args.seed)
 
     out = _ensure_out(args.out)
@@ -504,12 +461,9 @@ HANDLERS = {
 def _resolve(args, cfg: Config):
     """Fill flag defaults from [run] and record which flags were given."""
     args.batch_per_worker_given = args.batch_per_worker is not None
-    if args.seed is None:
-        args.seed = cfg.getint("run", "seed", 0)
-    if args.workers is None:
-        args.workers = cfg.getint("run", "workers", 1)
-    if args.batch_per_worker is None:
-        args.batch_per_worker = cfg.getint("run", "batch_per_worker", 8)
+    for key in ("seed", "workers", "batch_per_worker"):
+        if getattr(args, key) is None:
+            setattr(args, key, cfg.getint("run", key))
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
     if args.batch_per_worker < 1:

@@ -1,14 +1,21 @@
 """Layered run configuration.
 
-A run's settings come from (lowest to highest precedence): a shipped profile,
-an optional user config file, and command-line ``--set section.key=value``
-overrides.  Files are plain INI sections; every default the pipeline uses is
-a visible key in the shipped profiles.
+A run's settings come from (lowest to highest precedence): the shipped desk
+profile, an optional profile name or user config file, and command-line
+``--set section.key=value`` overrides.  Files are plain INI sections.  The
+desk profile lists every key the pipeline reads, so it is the one source of
+defaults: the getters take no default, and a key missing from every layer
+fails as ``missing config value <section>.<key>``.
+
+``Config.build`` makes a dataclass from one section, reading each field under
+its own name, and every failure it raises names the section, and the key when
+the check names one.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
 from importlib import resources
 
@@ -18,9 +25,8 @@ class ConfigError(ValueError):
 
 
 PROFILE_PACKAGE = "docbench.profiles"
-
-# sentinel: distinguishes "no default supplied" from a default of None
-_REQUIRED = object()
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def profile_path(name: str) -> str:
@@ -36,11 +42,10 @@ class Config:
         self._cp = configparser.ConfigParser(interpolation=None)
 
     @classmethod
-    def load(cls, config: str | None = None, overrides=(),
-             base_profile: str = "desk") -> "Config":
-        """Layer base profile <- optional file or profile <- overrides."""
+    def load(cls, config: str | None = None, overrides=()) -> "Config":
+        """Layer desk profile <- optional file or profile <- overrides."""
         cfg = cls()
-        cfg.read_file(profile_path(base_profile))
+        cfg.read_file(profile_path("desk"))
         if config:
             if os.path.exists(config):
                 cfg.read_file(config)
@@ -69,61 +74,58 @@ class Config:
 
     # -- typed access -------------------------------------------------------
 
-    def _raw(self, section, key, default):
+    def get(self, section, key) -> str:
         try:
             return self._cp.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
-            if default is _REQUIRED:
-                raise ConfigError(f"missing config value {section}.{key}") from None
-            return default
+            raise ConfigError(f"missing config value {section}.{key}") from None
 
-    def get(self, section, key, default=None):
-        return self._raw(section, key, default)
-
-    def getint(self, section, key, default=_REQUIRED) -> int:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None
+    def _parse(self, section, key, parse, kind, minimum=None):
+        raw = self.get(section, key)
         try:
-            return int(str(raw))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{section}.{key} must be an integer, got {raw!r}") from None
+            value = parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{section}.{key} must be {kind}, got {raw!r}") from None
+        for item in value if isinstance(value, list) else [value]:
+            if minimum is not None and item < minimum:
+                raise ConfigError(f"{section}.{key} must be >= {minimum}, got {item}")
+        return value
 
-    def getfloat(self, section, key, default=_REQUIRED) -> float:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None
+    def getint(self, section, key, minimum=None) -> int:
+        return self._parse(section, key, int, "an integer", minimum)
+
+    def getfloat(self, section, key) -> float:
+        return self._parse(section, key, float, "a number")
+
+    def getbool(self, section, key) -> bool:
+        return self._parse(section, key, lambda raw: _BOOLEANS[raw.lower()],
+                           "a boolean")
+
+    def getints(self, section, key, minimum=None) -> list:
+        return self._parse(
+            section, key, lambda raw: [int(tok) for tok in raw.replace(",", " ").split()],
+            "a list of integers", minimum)
+
+    def build(self, cls, section, **given):
+        """``cls(**given)`` with every other field of the dataclass read from
+        ``section`` under its own name and parsed by its declared type.
+
+        A ValueError from the dataclass's checks becomes a ConfigError
+        prefixed ``<section>.`` when its message starts with a key of the
+        section, else ``<section>: ``.
+        """
+        read = {"int": self.getint, "float": self.getfloat,
+                "bool": self.getbool, "str": self.get}
+        for f in dataclasses.fields(cls):
+            if f.name not in given:
+                given[f.name] = read[getattr(f.type, "__name__", f.type)](
+                    section, f.name)
         try:
-            return float(str(raw))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{section}.{key} must be a number, got {raw!r}") from None
-
-    def getbool(self, section, key, default=_REQUIRED) -> bool:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("1", "true", "yes", "on"):
-            return True
-        if text in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
-
-    def getints(self, section, key, default=_REQUIRED) -> list:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return None
-        if not isinstance(raw, str):
-            return list(raw)
-        try:
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(
-                f"{section}.{key} must be a list of integers, got {raw!r}") from None
+            return cls(**given)
+        except ValueError as exc:
+            key = str(exc).partition(" ")[0]
+            sep = "." if self._cp.has_option(section, key) else ": "
+            raise ConfigError(f"{section}{sep}{exc}") from None
 
     def snapshot(self) -> dict:
         """Plain dict copy for run manifests."""

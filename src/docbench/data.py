@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import load_tensors, save_tensors
+from .tensor import atomic_write, load_tensors, save_tensors
 
 PAD_ID = 0
 UNK_ID = 1
@@ -300,7 +300,7 @@ def make_splits(corpus: Corpus, n_splits: int, train_size: int, val_size: int,
 
 def save_corpus(corpus: Corpus, out_dir: str):
     """Directory layout: manifest.json + one image tensor file and one token
-    file per document."""
+    file per document, each written atomically."""
     images = os.path.join(out_dir, "images")
     tokens = os.path.join(out_dir, "tokens")
     os.makedirs(images, exist_ok=True)
@@ -310,14 +310,14 @@ def save_corpus(corpus: Corpus, out_dir: str):
         image_file = f"images/doc_{i:05d}.bin"
         token_file = f"tokens/doc_{i:05d}.json"
         save_tensors(os.path.join(out_dir, image_file), {"image": doc.image})
-        with open(os.path.join(out_dir, token_file), "w") as fh:
+        with atomic_write(os.path.join(out_dir, token_file)) as fh:
             json.dump([int(t) for t in doc.tokens], fh)
         index.append({"id": i, "label": int(doc.label),
                       "text_class": int(doc.text_class),
                       "image": image_file, "tokens": token_file})
     manifest = {"spec": asdict(corpus.spec), "seed": corpus.seed,
                 "documents": index}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
 
 

@@ -112,7 +112,7 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
             stride = st.stride if j == 0 else 1
             if st.kind == "mbconv":
                 blocks.append(MBConv(ch, out_ch, st.expansion, st.kernel,
-                                     stride, st.se_ratio, rng))
+                                     stride, st.se_ratio, rng, activation))
             else:
                 blocks.append(Sequential(
                     Conv2d(ch, out_ch, st.kernel, stride=stride, bias=False, rng=rng),

@@ -220,14 +220,15 @@ class SqueezeExcite(Layer):
     """Channel gate: globally pooled features squeezed to ``reduced`` then
     expanded back to per-channel sigmoid scales."""
 
-    def __init__(self, channels, reduced, rng=None):
+    def __init__(self, channels, reduced, rng=None, activation="swish"):
         super().__init__()
         self.reduce = Linear(channels, reduced, rng)
+        self.act = Activation(activation)
         self.expand = Linear(reduced, channels, rng)
 
     def __call__(self, x, ctx):
         pooled = ops.global_avg_pool(x)
-        gate = ops.sigmoid(self.expand(ops.swish(self.reduce(pooled, ctx)), ctx))
+        gate = ops.sigmoid(self.expand(self.act(self.reduce(pooled, ctx), ctx), ctx))
         return x * gate.reshape(gate.shape[0], gate.shape[1], 1, 1)
 
 
@@ -252,7 +253,8 @@ class MBConv(Layer):
         if se_ratio > 0:
             # reduction is computed from the block input width, not the
             # expanded width
-            self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng)
+            self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng,
+                                    activation)
         self.project_conv = Conv2d(mid, out_ch, 1, bias=False, rng=rng)
         self.project_bn = BatchNorm2d(out_ch)
         self.act = Activation(activation)

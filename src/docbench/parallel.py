@@ -185,67 +185,70 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
 
     def body(w: int):
         try:
-            net = model_factory()
-            opt = opt_factory(net)
-            ctx = Ctx(training=True,
-                      rng=np.random.default_rng(
-                          np.random.SeedSequence([cfg.seed, w])))
-            params = [p for _, p in net.named_params() if p.requires_grad]
-            buffers = [b for _, b in net.named_buffers()]
-            metrics = []
-            for epoch in range(epochs):
-                losses = []
-                peak_lr = 0.0
-                if k > 1:
-                    collective.barrier.wait()
-                started = time.perf_counter()
-                for step, batch in enumerate(loader.epoch(epoch)):
-                    if batch[0].shape[0] != cfg.global_batch:
-                        raise ValueError(
-                            f"loader batch {batch[0].shape[0]} != global "
-                            f"batch {cfg.global_batch}")
-                    lo, hi = w * cfg.n, (w + 1) * cfg.n
-                    shard = tuple(a[lo:hi] for a in batch)
-                    opt.zero_grad()
-                    loss = loss_fn(net, shard, ctx)
-                    loss.backward()
-                    flat = _flatten_grads(params, loss.item())
-                    reduced = collective.allreduce(w, flat)
+            # numpy's error state is per thread, so each worker sets its own;
+            # the optimizer's non-finite check then reports an overflow
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                net = model_factory()
+                opt = opt_factory(net)
+                ctx = Ctx(training=True,
+                          rng=np.random.default_rng(
+                              np.random.SeedSequence([cfg.seed, w])))
+                params = [p for _, p in net.named_params() if p.requires_grad]
+                buffers = [b for _, b in net.named_buffers()]
+                metrics = []
+                for epoch in range(epochs):
+                    losses = []
+                    peak_lr = 0.0
                     if k > 1:
-                        reduced = reduced / k
-                    global_loss = _assign_grads(params, reduced)
-                    peak_lr = max(peak_lr, opt.current_lr())
-                    try:
-                        opt.step()
-                    except FloatingPointError as exc:
-                        raise FloatingPointError(
-                            f"epoch {epoch}, step {step}: {exc}") from None
-                    losses.append(float(global_loss))
-                    if debug and k > 1:
-                        flat_p = np.concatenate([p.data.ravel() for p in params])
-                        all_p = collective.allreduce(w, flat_p)
-                        dev = np.max(np.abs(flat_p - all_p / k))
-                        if dev > 1e-6:
-                            raise RuntimeError(
-                                f"replica divergence {dev:.3e} beyond 1e-6")
-                seconds = time.perf_counter() - started
-                if k > 1 and buffers:
-                    # running statistics differ per shard; re-sync as the mean
-                    flat_b = np.concatenate([b.ravel() for b in buffers])
-                    mean_b = collective.allreduce(w, flat_b) / k
-                    off = 0
-                    for b in buffers:
-                        b[...] = mean_b[off:off + b.size].reshape(b.shape)
-                        off += b.size
-                row = {"epoch": epoch,
-                       "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                       "lr": peak_lr, "seconds": seconds}
-                if w == 0 and eval_fn is not None:
-                    row["val_acc"] = float(eval_fn(net))
-                metrics.append(row)
-            if w == 0:
-                shared["net"] = net
-                shared["metrics"] = metrics
+                        collective.barrier.wait()
+                    started = time.perf_counter()
+                    for step, batch in enumerate(loader.epoch(epoch)):
+                        if batch[0].shape[0] != cfg.global_batch:
+                            raise ValueError(
+                                f"loader batch {batch[0].shape[0]} != global "
+                                f"batch {cfg.global_batch}")
+                        lo, hi = w * cfg.n, (w + 1) * cfg.n
+                        shard = tuple(a[lo:hi] for a in batch)
+                        opt.zero_grad()
+                        loss = loss_fn(net, shard, ctx)
+                        loss.backward()
+                        flat = _flatten_grads(params, loss.item())
+                        reduced = collective.allreduce(w, flat)
+                        if k > 1:
+                            reduced = reduced / k
+                        global_loss = _assign_grads(params, reduced)
+                        peak_lr = max(peak_lr, opt.current_lr())
+                        try:
+                            opt.step()
+                        except FloatingPointError as exc:
+                            raise FloatingPointError(
+                                f"epoch {epoch}, step {step}: {exc}") from None
+                        losses.append(float(global_loss))
+                        if debug and k > 1:
+                            flat_p = np.concatenate([p.data.ravel() for p in params])
+                            all_p = collective.allreduce(w, flat_p)
+                            dev = np.max(np.abs(flat_p - all_p / k))
+                            if dev > 1e-6:
+                                raise RuntimeError(
+                                    f"replica divergence {dev:.3e} beyond 1e-6")
+                    seconds = time.perf_counter() - started
+                    if k > 1 and buffers:
+                        # running statistics differ per shard; re-sync as the mean
+                        flat_b = np.concatenate([b.ravel() for b in buffers])
+                        mean_b = collective.allreduce(w, flat_b) / k
+                        off = 0
+                        for b in buffers:
+                            b[...] = mean_b[off:off + b.size].reshape(b.shape)
+                            off += b.size
+                    loss_mean = float(np.mean(losses)) if losses else float("nan")
+                    row = {"epoch": epoch, "train_loss": loss_mean,
+                           "lr": peak_lr, "seconds": seconds}
+                    if w == 0 and eval_fn is not None:
+                        row["val_acc"] = float(eval_fn(net))
+                    metrics.append(row)
+                if w == 0:
+                    shared["net"] = net
+                    shared["metrics"] = metrics
         except BaseException:
             collective.barrier.abort()
             raise
@@ -304,8 +307,8 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
     and the second epoch's `seconds` is the wall time.  Speedup is the
     throughput ratio against k=1, so S(1)=1 by construction.
     """
-    if not k_list:
-        raise ValueError("k_list must be nonempty")
+    if not k_list or min(k_list) < 1:
+        raise ValueError(f"k_list must be nonempty with every k >= 1, got {k_list}")
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be weak|strong, got {mode!r}")
     cap = int(os.environ.get(MAX_WORKERS_ENV, "0")) or None

@@ -32,6 +32,8 @@ class ScalingSpec:
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.phi < 0:
+            raise ValueError(f"phi must be >= 0, got {self.phi}")
 
     @property
     def constraint_residual(self) -> float:
@@ -57,8 +59,6 @@ def round_to_even(value: float) -> int:
 def compound_scale(spec: ScalingSpec, base_input_size: int = 224,
                    binding: str = "constraint") -> ScaledDims:
     """Expand a scaling spec into concrete multipliers and an input size."""
-    if spec.phi < 0:
-        raise ValueError(f"phi must be >= 0, got {spec.phi}")
     if binding not in BINDINGS:
         raise ValueError(f"binding must be one of {BINDINGS}, got {binding!r}")
     if not spec.constraint_ok():

@@ -7,6 +7,7 @@ extracts the tape in topological order and walks it once in reverse.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -334,9 +335,24 @@ def trace(root: Tensor) -> list:
 # order, then the raw little-endian payloads concatenated back to back.
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temporary file beside ``path`` that replaces ``path`` only when
+    the block completes; on any failure ``path`` is left as it was and the
+    temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_tensors(path, arrays, meta=None):
-    """Write named arrays as header-JSON + flat little-endian payload, via a
-    temporary file beside ``path`` that is then moved into place."""
+    """Write named arrays as header-JSON + flat little-endian payload,
+    atomically."""
     entries = []
     payloads = []
     for name, arr in arrays.items():
@@ -349,17 +365,11 @@ def save_tensors(path, arrays, meta=None):
     header = {"format": _FORMAT, "tensors": entries}
     if meta is not None:
         header["meta"] = meta
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            for blob in payloads:
-                fh.write(blob)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        for blob in payloads:
+            fh.write(blob)
 
 
 def load_tensors(path):

@@ -6,6 +6,7 @@ generated corpus -> pretrained checkpoint -> fine-tune / text / ensemble.
 
 import ast
 import configparser
+import dataclasses
 import glob
 import json
 import os
@@ -17,6 +18,9 @@ import pytest
 
 from docbench import cli
 from docbench.config import Config, ConfigError, profile_path
+from docbench.data import AugmentConfig
+from docbench.ensemble import FusionWeights
+from docbench.optim import SgdConfig, StlrConfig
 from docbench.tensor import load_tensors
 
 # -- config layering -----------------------------------------------------------------
@@ -70,7 +74,36 @@ def test_typed_getters():
             "pretrain", "augment")
     with pytest.raises(ConfigError, match="missing"):
         cfg.getint("corpus", "nonexistent_key")
-    assert cfg.get("corpus", "nonexistent_key") is None
+    with pytest.raises(ConfigError, match="missing config value corpus.nonexistent_key"):
+        cfg.get("corpus", "nonexistent_key")
+
+
+def test_counts_take_a_minimum():
+    cfg = Config.load(overrides=["bench.k_list=1 0 2", "bench.warmup=-1",
+                                 "corpus.image_template_map="])
+    assert cfg.getint("bench", "warmup", minimum=-1) == -1
+    with pytest.raises(ConfigError, match=r"^bench.warmup must be >= 0, got -1$"):
+        cfg.getint("bench", "warmup", minimum=0)
+    with pytest.raises(ConfigError, match=r"^bench.k_list must be >= 1, got 0$"):
+        cfg.getints("bench", "k_list", minimum=1)
+    assert cfg.getints("corpus", "image_template_map") == []
+
+
+def test_build_reads_fields_and_names_the_failing_key():
+    cfg = Config.load(overrides=["pretrain.momentum=0.5"])
+    assert cfg.build(SgdConfig, "pretrain") == SgdConfig(0.5, 0.0)
+    assert cfg.build(SgdConfig, "finetune", momentum=0.1).momentum == 0.1
+    assert cfg.build(AugmentConfig, "pretrain") == AugmentConfig(-5.0, 5.0)
+    bad = Config.load(overrides=["pretrain.momentum=1.5", "ensemble.w1=0.7"])
+    with pytest.raises(ConfigError, match=r"^pretrain\.momentum must be in \[0,1\)"):
+        bad.build(SgdConfig, "pretrain")
+    with pytest.raises(ConfigError, match="^ensemble: weights must sum to 1"):
+        bad.build(FusionWeights, "ensemble")
+    with pytest.raises(ConfigError, match="^text: eta_max must be > 0"):
+        bad.build(StlrConfig, "text", eta_max=0.0, total_steps=10,
+                  cut_frac=0.5, ratio=32.0)
+    with pytest.raises(ConfigError, match="missing config value text.momentum"):
+        bad.build(SgdConfig, "text")
 
 
 def _profile_keys(name):
@@ -79,8 +112,30 @@ def _profile_keys(name):
     return {(section, key) for section in cp.sections() for key in cp[section]}
 
 
+def _built_keys(sections):
+    """(section, key) pairs that cli.py reads through ``cfg.build(cls,
+    section, **given)``: the fields of cls not given.  A section passed as a
+    variable stands for every section that holds all of those fields."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    keys = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "build"):
+            continue
+        cls, section = node.args[:2]
+        fields = {f.name for f in dataclasses.fields(getattr(cli, cls.id))}
+        fields -= {kw.arg for kw in node.keywords}
+        targets = ([section.value] if isinstance(section, ast.Constant)
+                   else [s for s, held in sections.items() if fields <= held])
+        keys |= {(s, f) for s in targets for f in fields}
+    return keys
+
+
 def test_profiles_have_no_dead_keys():
-    """Both profiles list the same keys, and the package reads each one."""
+    """Both profiles list the same keys, and the package reads each one: the
+    key is a string literal in its source, or a field that cli.py builds from
+    that section with cfg.build."""
     desk = _profile_keys("desk")
     assert desk == _profile_keys("full")
     literals = set()
@@ -89,7 +144,12 @@ def test_profiles_have_no_dead_keys():
             literals |= {node.value for node in ast.walk(ast.parse(fh.read()))
                          if isinstance(node, ast.Constant)
                          and isinstance(node.value, str)}
-    assert sorted(key for _, key in desk if key not in literals) == []
+    sections = {}
+    for section, key in desk:
+        sections.setdefault(section, set()).add(key)
+    built = _built_keys(sections)
+    assert sorted(pair for pair in desk
+                  if pair[1] not in literals and pair not in built) == []
 
 
 def test_snapshot_round_trips_sections():
@@ -370,6 +430,64 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     assert err.startswith(f"error: {key} must be >= ")
     for name in ("report.csv", "metrics.csv", "scaling.csv"):
         assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("command,flags,expected", [
+    ("pretrain", ["--set", "pretrain.momentum=1.5"],
+     "pretrain.momentum must be in [0,1), got 1.5"),
+    ("finetune", ["--set", "finetune.cut_frac=0"],
+     "finetune.cut_frac must be in (0,1), got 0.0"),
+    ("finetune", ["--set", "finetune.keep_trainable="],
+     "finetune.keep_trainable must name at least one group"),
+    ("train-text", ["--set", "text.beta1=1.5"],
+     "text.beta1 must be in [0,1), got 1.5"),
+    ("train-text", ["--set", "text_model.heads=3"],
+     "text_model.hidden 32 not divisible by heads 3"),
+    ("pretrain", ["--set", "image_model.alpha=0.5"],
+     "image_model.alpha must be >= 1, got 0.5"),
+    ("pretrain", ["--set", "pretrain.shear_min=10"],
+     "pretrain.shear_min must be <= shear_max"),
+    ("ensemble-eval", ["--set", "ensemble.w1=0.7"],
+     "ensemble: weights must sum to 1, got 1.2"),
+    ("gen-data", ["--set", "corpus.image_size=4"],
+     "corpus.image_size must be >= 8, got 4"),
+    ("pretrain", ["--set", "pretrain.split_index=-1"],
+     "pretrain.split_index must be >= 0, got -1"),
+    ("bench-scaling", ["--set", "bench.k_list=0"],
+     "bench.k_list must be >= 1, got 0"),
+    ("bench-scaling", ["--k-list", "0"],
+     "k_list must be nonempty with every k >= 1, got [0]"),
+    ("ensemble-eval", ["--set", "splits.train_size=0"],
+     "splits: train 0 + val 20 must equal quota 25 x 4 classes"),
+])
+def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
+                                                  command, flags, expected):
+    """One stderr line naming the section (and the key when the check names
+    one), and no --out directory at all."""
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), *flags]
+    if command != "gen-data":
+        argv += ["--data", work["data"]]
+    image_ck = os.path.join(work["pre"], "checkpoint.tensors")
+    if command == "finetune":
+        argv += ["--checkpoint", image_ck]
+    if command == "ensemble-eval":
+        argv += ["--image-checkpoint", image_ck, "--text-checkpoint",
+                 os.path.join(work["txt"], "checkpoint.tensors")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_overflow_prints_only_the_error_line(work, tmp_path, k):
+    proc = run_cli("pretrain", "--data", work["data"], "--out", str(tmp_path / "nan"),
+                   "--workers", str(k), "--batch-per-worker", str(8 // k),
+                   "--set", "pretrain.base_lr=1e12", must_pass=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: epoch 0, step ")
+    assert "non-finite gradient" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_deterministic_rerun_reproduces_metrics(work, tmp_path):

@@ -322,6 +322,29 @@ def test_save_is_byte_deterministic(tmp_path):
     assert len(manifest["documents"]) == len(corpus)
 
 
+@pytest.mark.parametrize("target", ["tokens/doc_00003.json", "manifest.json"])
+def test_failed_corpus_write_keeps_the_previous_file(tmp_path, monkeypatch,
+                                                     target):
+    """A write that raises midway leaves the file as it was and no temporary
+    file behind."""
+    out = tmp_path / "corpus"
+    save_corpus(generate_corpus(small_spec(), seed=4), str(out))
+    before = (out / target).read_bytes()
+    real_dump = json.dump
+
+    def dump(obj, fh, **kwargs):
+        if fh.name.startswith(str(out / target)):
+            fh.write("[")
+            raise OSError("disk full")
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_corpus(generate_corpus(small_spec(), seed=5), str(out))
+    assert (out / target).read_bytes() == before
+    assert not list(out.rglob("*.tmp"))
+
+
 # -- loaders --------------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
                                    StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
-from docbench.layers import Ctx, MBConv, count_params
+from docbench.layers import Activation, Ctx, MBConv, count_params
 from docbench.ops import conv_output_dims
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
                               round_to_even)
@@ -204,6 +204,23 @@ def test_mbconv_rejects_bad_channels():
 
 
 # -- full network builds -------------------------------------------------------------
+
+
+def test_activation_reaches_every_block():
+    """The configured activation is used by the stem, every MBConv block and
+    its squeeze-excite gate, and the head."""
+    dims = ScaledDims(1.0, 1.0, 1.0, 16)
+    net = build_efficientnet(MICRO_STAGES, dims, 4, in_channels=1, seed=0,
+                             stem_channels=8, head_channels=32, activation="relu")
+
+    def walk(layer):
+        yield layer
+        for child in layer._children.values():
+            yield from walk(child)
+
+    kinds = [layer.kind for layer in walk(net) if isinstance(layer, Activation)]
+    assert len(kinds) == 2 + 3 * 2  # stem, head_conv; three blocks with SE
+    assert set(kinds) == {"relu"}
 
 
 def test_group_layout():

@@ -374,3 +374,8 @@ def test_speedup_input_validation():
                         lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
                         factory, image_loss, [1, 3], n=4, steps=2,
                         mode="strong")
+    with pytest.raises(ValueError, match=r"every k >= 1, got \[1, 0\]"):
+        # weak scaling divides the step count by k
+        measure_speedup(lambda: FlatImageModel(36, 3, seed=1),
+                        lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
+                        factory, image_loss, [1, 0], n=4, steps=2)
