@@ -23,15 +23,15 @@ from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
                    generate_corpus, load_corpus, make_splits, resize,
                    save_corpus)
 from .efficientnet import BASE_STAGES, StageSpec, build_efficientnet
-from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
-                       predict_classes, report_csv)
-from .layers import Network
+from .ensemble import (REDUCERS, FusionWeights, evaluate, fuse,
+                       grid_search_weights, predict_classes, report_csv)
+from .layers import ACTIVATIONS, Network
 from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
                     SgdOptimizer, StlrConfig, group_lrs, reference_lr, stlr_lr)
-from .parallel import (ParallelConfig, eval_image_accuracy, eval_text_accuracy,
-                       image_loss, measure_speedup, predict, text_loss,
-                       train_parallel)
-from .scaling import ScaledDims, ScalingSpec, compound_scale
+from .parallel import (SPEEDUP_MODES, ParallelConfig, eval_image_accuracy,
+                       eval_text_accuracy, image_loss, measure_speedup, predict,
+                       text_loss, train_parallel)
+from .scaling import BINDINGS, ScaledDims, ScalingSpec, compound_scale
 from .tensor import Tensor
 from .text_encoder import TextEncoderSpec, build_text_encoder
 
@@ -71,7 +71,7 @@ def _stage_specs(cfg: Config):
 def _scaled_dims(cfg: Config) -> ScaledDims:
     dims = compound_scale(cfg.build(ScalingSpec, "image_model"),
                           cfg.getint("image_model", "base_input_size"),
-                          cfg.get("image_model", "binding"))
+                          cfg.getchoice("image_model", "binding", BINDINGS))
     if cfg.get("image_model", "input_size").strip():
         dims = dataclasses.replace(
             dims, input_size=cfg.getint("image_model", "input_size"))
@@ -87,7 +87,7 @@ def _build_image_net(cfg: Config, num_classes: int, seed: int):
         dropout_rate=cfg.getfloat("image_model", "dropout"),
         stem_channels=cfg.getint("image_model", "stem_channels"),
         head_channels=cfg.getint("image_model", "head_channels"),
-        activation=cfg.get("image_model", "activation"))
+        activation=cfg.getchoice("image_model", "activation", ACTIVATIONS))
 
 
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
@@ -98,6 +98,7 @@ def _text_max_len(cfg: Config, corpus: Corpus) -> int:
 
 def _build_text_net(cfg: Config, corpus: Corpus, seed: int):
     spec = cfg.build(TextEncoderSpec, "text_model",
+                     activation=cfg.getchoice("text_model", "activation", ACTIVATIONS),
                      vocab_size=corpus.spec.vocab_size,
                      max_len=_text_max_len(cfg, corpus),
                      num_classes=corpus.num_classes)
@@ -241,9 +242,12 @@ def cmd_finetune(args, cfg: Config) -> int:
         raise ConfigError("finetune.keep_trainable must name at least one group")
 
     def initial(net: Network):
+        try:
+            net.freeze(keep_trainable=keep)
+        except KeyError as exc:
+            raise ConfigError(f"finetune.keep_trainable: {exc.args[0]}") from None
         # head stays at its fresh initialization for the new class count
         net.load(args.checkpoint, skip_groups=("head",))
-        net.freeze(keep_trainable=keep)
 
     return _train_image(args, cfg, "finetune", initial=initial,
                         extra={"source_checkpoint": args.checkpoint,
@@ -306,6 +310,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     started = time.time()
     n_splits = cfg.getint("splits", "n_splits", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
+    reducer = cfg.getchoice("ensemble", "reducer", REDUCERS)
     corpus = load_corpus(args.data)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
@@ -349,7 +354,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
             "w1": weights.w1, "w2": weights.w2,
         })
 
-    report = report_csv(rows, reducer=cfg.get("ensemble", "reducer"))
+    report = report_csv(rows, reducer=reducer)
     out = _ensure_out(args.out)
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:
@@ -372,6 +377,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
     steps = cfg.getint("bench", "steps", minimum=1)
     warmup = cfg.getint("bench", "warmup", minimum=0)
+    mode = cfg.getchoice("bench", "mode", SPEEDUP_MODES)
     n = args.batch_per_worker if args.batch_per_worker_given \
         else cfg.getint("bench", "batch_per_worker", minimum=1)
     corpus = load_corpus(args.data)
@@ -394,8 +400,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     report = measure_speedup(
         lambda: _build_image_net(cfg, corpus.num_classes, args.seed),
         opt_factory, batch_factory, image_loss, k_list, n,
-        steps=steps, warmup=warmup, mode=cfg.get("bench", "mode"),
-        seed=args.seed)
+        steps=steps, warmup=warmup, mode=mode, seed=args.seed)
 
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "scaling.csv")

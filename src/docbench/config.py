@@ -101,6 +101,13 @@ class Config:
         return self._parse(section, key, lambda raw: _BOOLEANS[raw.lower()],
                            "a boolean")
 
+    def getchoice(self, section, key, choices) -> str:
+        raw = self.get(section, key)
+        if raw not in choices:
+            raise ConfigError(f"{section}.{key} must be one of "
+                              f"{'|'.join(choices)}, got {raw!r}")
+        return raw
+
     def getints(self, section, key, minimum=None) -> list:
         return self._parse(
             section, key, lambda raw: [int(tok) for tok in raw.replace(",", " ").split()],

@@ -45,8 +45,8 @@ class CorpusSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if min(self.class_counts) < 1:
-            raise ValueError("docs_per_class entries must be >= 1")
+        if min(self.class_counts, default=0) < 1:
+            raise ValueError("docs_per_class must list at least one count, each >= 1")
         if self.image_size < 8:
             raise ValueError(f"image_size must be >= 8, got {self.image_size}")
         if self.vocab_size < NUM_SPECIALS + self.num_classes:

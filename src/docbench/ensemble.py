@@ -15,6 +15,7 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-9
 DEFAULT_WEIGHTS = (0.5, 0.5)
 REPORT_HEADER = "split_id,image_acc,text_acc,ensemble_acc,w1,w2"
+REDUCERS = ("median", "mean")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def report_csv(split_rows, reducer: str = "median") -> str:
 
     split_rows: dicts with split_id, image_acc, text_acc, ensemble_acc, w1, w2.
     """
-    if reducer not in ("median", "mean"):
-        raise ValueError(f"reducer must be median|mean, got {reducer!r}")
+    if reducer not in REDUCERS:
+        raise ValueError(f"reducer must be {'|'.join(REDUCERS)}, got {reducer!r}")
     reduce = statistics.median if reducer == "median" else statistics.fmean
     lines = [REPORT_HEADER]
     for r in split_rows:

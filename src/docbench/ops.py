@@ -168,29 +168,6 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return Tensor.from_op("depthwise_conv2d", parents, out, vjp)
 
 
-def maxpool2d(x: Tensor, size: int, stride: int | None = None) -> Tensor:
-    """Max over non-overlapping/strided P x P windows; grad to first argmax."""
-    _check_4d(x, "maxpool input")
-    stride = size if stride is None else stride
-    n, c, h, w = x.shape
-    if size > h or size > w:
-        raise ShapeError(f"pool size {size} exceeds spatial extent {h}x{w}")
-    out_h = (h - size) // stride + 1
-    out_w = (w - size) // stride + 1
-    win = _window_view(x.data, size, stride, out_h, out_w)
-    flat = win.reshape(n, c, size * size, out_h, out_w)
-    arg = flat.argmax(axis=2)  # first maximal position on ties
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-
-    def vjp(g):
-        dwin = np.zeros_like(flat)
-        np.put_along_axis(dwin, arg[:, :, None], g[:, :, None], axis=2)
-        dwin = dwin.reshape(n, c, size, size, out_h, out_w)
-        return (_window_scatter(x.shape, dwin, size, stride, out_h, out_w),)
-
-    return Tensor.from_op("maxpool2d", (x,), out, vjp)
-
-
 def global_avg_pool(x: Tensor) -> Tensor:
     """(N,C,H,W) -> (N,C) spatial mean."""
     _check_4d(x, "global_avg_pool input")

@@ -127,109 +127,91 @@ def group_lrs(cfg: LayerwiseDecayConfig, num_layers: int):
     return out
 
 
-def _check_finite(name, grad):
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+def sgd_step(params, grads, lr, cfg: SgdConfig, velocity):
+    """One momentum step over flat arrays, in place; lr is a rate or one rate
+    per element, and velocity persists across calls."""
+    if np.min(lr) <= 0:
+        raise ValueError(f"lr must be > 0, got {np.min(lr)}")
+    velocity *= cfg.momentum
+    velocity += grads
+    velocity += cfg.weight_decay * params
+    params -= lr * velocity
 
 
-def sgd_step(params, grads, lr, cfg: SgdConfig, velocities=None):
-    """One momentum step, in place.  params/grads are dicts keyed by name;
-    velocities persists across calls (pass the same dict back in)."""
-    if lr <= 0:
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if velocities is None:
-        velocities = {}
-    for name, p in params.items():
-        g = grads[name]
-        _check_finite(name, g)
-        v = velocities.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-        v = cfg.momentum * v + g + cfg.weight_decay * p
-        velocities[name] = v
-        p -= lr * v
-    return params, velocities
-
-
-def adam_step(params, grads, lr, cfg: AdamConfig, t: int, moments=None):
-    """One bias-corrected adaptive step, in place; t counts from 1.
+def adam_step(params, grads, lr, cfg: AdamConfig, t: int, m, v):
+    """One bias-corrected adaptive step over flat arrays, in place; t counts
+    from 1, and the moments m and v persist across calls.
 
     Weight decay is the coupled L2 form: decay*param is added to the
     gradient before the moment updates.
     """
     if t < 1:
         raise ValueError(f"adam step index starts at 1, got {t}")
-    if moments is None:
-        moments = {}
-    for name, p in params.items():
-        g = grads[name]
-        _check_finite(name, g)
-        g = g + cfg.weight_decay * p
-        m, v = moments.get(name, (None, None))
-        if m is None:
-            m, v = np.zeros_like(p), np.zeros_like(p)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        moments[name] = (m, v)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return params, moments
+    g = grads + cfg.weight_decay * params
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 class Optimizer:
     """Steps one network's trainable parameters from their .grad fields.
 
-    lr may be a constant or a schedule callable mapping step index (from 0)
-    to a rate; group_rates, when given, overrides the rate per top-level
-    group name (used for layer-wise fine-tuning).
+    One optimizer owns a network's parameters: it copies the trainable ones
+    into one flat float64 buffer, ``params``, and rebinds each one's data and
+    grad to views of ``params`` and of ``grads``, whose extra last slot
+    carries the loss through the gradient exchange.  Frozen parameters stay
+    outside both.  lr may be a constant or a schedule callable mapping step
+    index (from 0) to a rate; group_rates overrides it per top-level group.
     """
 
     def __init__(self, net: Network, lr, group_rates=None):
         self.net = net
         self._lr = lr
-        self.group_rates = dict(group_rates) if group_rates else {}
         self.step_count = 0
+        trainable = [(name, p) for name, p in net.named_params() if p.requires_grad]
+        self.names = [name for name, _ in trainable]
+        self.offsets = np.cumsum([0] + [p.data.size for _, p in trainable])
+        self.params = np.empty(self.offsets[-1])
+        self.grads = np.zeros(self.offsets[-1] + 1)
+        self.rates = np.full(self.offsets[-1], np.nan)  # NaN: the base rate
+        for (name, p), lo, hi in zip(trainable, self.offsets, self.offsets[1:]):
+            self.params[lo:hi] = p.data.ravel()
+            p.data = self.params[lo:hi].reshape(p.shape)
+            p.grad = self.grads[lo:hi].reshape(p.shape)
+            self.rates[lo:hi] = (group_rates or {}).get(name.split(".", 1)[0], np.nan)
+        self._ungrouped = np.isnan(self.rates)
 
-    def current_lr(self, step=None):
-        step = self.step_count if step is None else step
-        return self._lr(step) if callable(self._lr) else self._lr
-
-    def _rate_for(self, path, base_lr):
-        return self.group_rates.get(path.split(".", 1)[0], base_lr)
-
-    def _gather(self):
-        params, grads = {}, {}
-        for name, p in self.net.named_params():
-            if not p.requires_grad or p.grad is None:
-                continue
-            params[name] = p.data
-            grads[name] = p.grad
-        return params, grads
+    def current_lr(self):
+        return self._lr(self.step_count) if callable(self._lr) else self._lr
 
     def zero_grad(self):
-        for _, p in self.net.named_params():
-            p.grad = None
+        self.grads.fill(0.0)
 
-    def step(self):
-        raise NotImplementedError
+    def _begin_step(self):
+        """Check the gradients, fill ``rates`` and return the base rate."""
+        finite = np.isfinite(self.grads[:-1])
+        if not finite.all():
+            bad = np.searchsorted(self.offsets, np.argmin(finite), side="right") - 1
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {self.names[bad]!r}")
+        base = self.current_lr()
+        np.copyto(self.rates, base, where=self._ungrouped)
+        return base
 
 
 class SgdOptimizer(Optimizer):
     def __init__(self, net, lr, cfg: SgdConfig = SgdConfig(), group_rates=None):
         super().__init__(net, lr, group_rates)
         self.cfg = cfg
-        self.velocities = {}
+        self.velocity = np.zeros_like(self.params)
 
     def step(self):
-        base = self.current_lr()
-        params, grads = self._gather()
-        by_rate = {}
-        for name in params:
-            by_rate.setdefault(self._rate_for(name, base), []).append(name)
-        for rate, names in by_rate.items():
-            sgd_step({n: params[n] for n in names}, {n: grads[n] for n in names},
-                     rate, self.cfg, self.velocities)
+        base = self._begin_step()
+        sgd_step(self.params, self.grads[:-1], self.rates, self.cfg, self.velocity)
         self.step_count += 1
         return base
 
@@ -238,16 +220,12 @@ class AdamOptimizer(Optimizer):
     def __init__(self, net, lr, cfg: AdamConfig = AdamConfig(), group_rates=None):
         super().__init__(net, lr, group_rates)
         self.cfg = cfg
-        self.moments = {}
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
 
     def step(self):
-        base = self.current_lr()
-        params, grads = self._gather()
+        base = self._begin_step()
         self.step_count += 1  # bias correction counts from 1
-        by_rate = {}
-        for name in params:
-            by_rate.setdefault(self._rate_for(name, base), []).append(name)
-        for rate, names in by_rate.items():
-            adam_step({n: params[n] for n in names}, {n: grads[n] for n in names},
-                      rate, self.cfg, self.step_count, self.moments)
+        adam_step(self.params, self.grads[:-1], self.rates, self.cfg,
+                  self.step_count, self.m, self.v)
         return base

@@ -3,11 +3,12 @@
 Each worker thread owns a full model replica and a disjoint shard of every
 global batch.  Per step the shard-mean gradients are summed by
 ``ring_allreduce`` (k chunks, k-1 scatter-reduce phases then k-1 all-gather
-phases): every worker posts its flat gradient, worker 0 runs the ring over
-the posted list between two barriers, and each worker takes its own result.
-Every replica then applies the identical optimizer step, so replicas never
-diverge.  ``naive_allreduce``, a fixed-order summation, is the oracle the
-ring is tested against.
+phases): every worker posts its optimizer's gradient buffer, with the loss
+in its last slot, worker 0 runs the ring over the posted list between two
+barriers, and each worker copies its own result back into its buffer.  Every
+replica then applies the identical optimizer step, so replicas never diverge.
+``naive_allreduce``, a fixed-order summation, is the oracle the ring is
+tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .layers import Ctx
 from .ops import softmax_crossentropy
 
 MAX_WORKERS_ENV = "DOCBENCH_MAX_WORKERS"
+SPEEDUP_MODES = ("weak", "strong")
 CSV_HEADER = "k,wall_seconds,samples_per_sec,speedup,efficiency"
 
 
@@ -104,8 +106,6 @@ class _Collective:
         self.results = None
 
     def allreduce(self, w: int, vec: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return vec.copy()
         self.posted[w] = vec
         self.barrier.wait()
         if w == 0:
@@ -144,22 +144,6 @@ def _run_workers(k: int, body):
 # -- synchronous data-parallel training -----------------------------------------
 
 
-def _flatten_grads(params, extra):
-    parts = [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-             for p in params]
-    parts.append(np.asarray([extra], dtype=np.float64))
-    return np.concatenate(parts)
-
-
-def _assign_grads(params, flat):
-    offset = 0
-    for p in params:
-        size = p.data.size
-        p.grad = flat[offset:offset + size].reshape(p.data.shape)
-        offset += size
-    return flat[offset]
-
-
 def _logits(net, inputs, ctx):
     """Map a batch's inputs, (x,) or (ids, mask), onto the network."""
     return net.logits(inputs[0], ctx, *inputs[1:])
@@ -193,7 +177,6 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                 ctx = Ctx(training=True,
                           rng=np.random.default_rng(
                               np.random.SeedSequence([cfg.seed, w])))
-                params = [p for _, p in net.named_params() if p.requires_grad]
                 buffers = [b for _, b in net.named_buffers()]
                 metrics = []
                 for epoch in range(epochs):
@@ -212,22 +195,19 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                         opt.zero_grad()
                         loss = loss_fn(net, shard, ctx)
                         loss.backward()
-                        flat = _flatten_grads(params, loss.item())
-                        reduced = collective.allreduce(w, flat)
+                        opt.grads[-1] = loss.item()
                         if k > 1:
-                            reduced = reduced / k
-                        global_loss = _assign_grads(params, reduced)
-                        peak_lr = max(peak_lr, opt.current_lr())
+                            np.divide(collective.allreduce(w, opt.grads), k,
+                                      out=opt.grads)
                         try:
-                            opt.step()
+                            peak_lr = max(peak_lr, opt.step())
                         except FloatingPointError as exc:
                             raise FloatingPointError(
                                 f"epoch {epoch}, step {step}: {exc}") from None
-                        losses.append(float(global_loss))
+                        losses.append(float(opt.grads[-1]))
                         if debug and k > 1:
-                            flat_p = np.concatenate([p.data.ravel() for p in params])
-                            all_p = collective.allreduce(w, flat_p)
-                            dev = np.max(np.abs(flat_p - all_p / k))
+                            all_p = collective.allreduce(w, opt.params)
+                            dev = np.max(np.abs(opt.params - all_p / k))
                             if dev > 1e-6:
                                 raise RuntimeError(
                                     f"replica divergence {dev:.3e} beyond 1e-6")
@@ -309,9 +289,14 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
     """
     if not k_list or min(k_list) < 1:
         raise ValueError(f"k_list must be nonempty with every k >= 1, got {k_list}")
-    if mode not in ("weak", "strong"):
-        raise ValueError(f"mode must be weak|strong, got {mode!r}")
-    cap = int(os.environ.get(MAX_WORKERS_ENV, "0")) or None
+    if mode not in SPEEDUP_MODES:
+        raise ValueError(f"mode must be {'|'.join(SPEEDUP_MODES)}, got {mode!r}")
+    raw_cap = os.environ.get(MAX_WORKERS_ENV, "0")
+    try:
+        cap = int(raw_cap) or None
+    except ValueError:
+        raise ValueError(
+            f"{MAX_WORKERS_ENV} must be an integer, got {raw_cap!r}") from None
     rows = []
     base_sps = None
     with _blas_single_threaded():

@@ -69,9 +69,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op!r})"
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
@@ -249,7 +246,9 @@ class Tensor:
     # -- backward --------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every tensor this scalar depends on."""
+        """Populate ``grad`` on every tensor this scalar depends on; leaves
+        accumulate in place, so a parameter's gradient stays a view of its
+        optimizer's buffer."""
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
         order = trace(self)
@@ -262,7 +261,12 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 g = np.asarray(g, dtype=parent.dtype)
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent._vjp is not None:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+                elif parent.grad is None:
+                    parent.grad = g.copy()  # vjps may share one array (add)
+                else:
+                    parent.grad += g
 
 
 def _sigmoid(x):

@@ -70,21 +70,6 @@ def conv2d_loops(x, w, b=None, stride=1):
     return out
 
 
-def maxpool_scan(x, size, stride):
-    n, c, h, w = x.shape
-    oh = (h - size) // stride + 1
-    ow = (w - size) // stride + 1
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    for ni in range(n):
-        for ci in range(c):
-            for oi in range(oh):
-                for oj in range(ow):
-                    out[ni, ci, oi, oj] = x[ni, ci,
-                                            oi * stride : oi * stride + size,
-                                            oj * stride : oj * stride + size].max()
-    return out
-
-
 def fd_gradcheck(func, inputs, rtol=1e-6, step=1e-5, rng=None):
     """Central-difference check of d(sum(f * proj))/d(input) for each input.
 

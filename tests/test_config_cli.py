@@ -21,6 +21,7 @@ from docbench.config import Config, ConfigError, profile_path
 from docbench.data import AugmentConfig
 from docbench.ensemble import FusionWeights
 from docbench.optim import SgdConfig, StlrConfig
+from docbench.parallel import MAX_WORKERS_ENV
 from docbench.tensor import load_tensors
 
 # -- config layering -----------------------------------------------------------------
@@ -459,11 +460,32 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
      "k_list must be nonempty with every k >= 1, got [0]"),
     ("ensemble-eval", ["--set", "splits.train_size=0"],
      "splits: train 0 + val 20 must equal quota 25 x 4 classes"),
+    ("pretrain", ["--set", "image_model.binding=x"],
+     "image_model.binding must be one of constraint|prose, got 'x'"),
+    ("bench-scaling", ["--set", "bench.mode=x"],
+     "bench.mode must be one of weak|strong, got 'x'"),
+    ("pretrain", ["--set", "image_model.activation=x"],
+     "image_model.activation must be one of swish|relu|sigmoid, got 'x'"),
+    ("train-text", ["--set", "text_model.activation=x"],
+     "text_model.activation must be one of swish|relu|sigmoid, got 'x'"),
+    ("finetune", ["--set", "finetune.keep_trainable=head bogus"],
+     "finetune.keep_trainable: unknown group(s) ['bogus']; "
+     "have ['stem', 'stage1', 'stage2', 'head_conv', 'head']"),
+    ("ensemble-eval", ["--set", "ensemble.reducer=x"],
+     "ensemble.reducer must be one of median|mean, got 'x'"),
+    ("gen-data", ["--set", "corpus.docs_per_class="],
+     "corpus.docs_per_class must list at least one count, each >= 1"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
-                                                  command, flags, expected):
+                                                  monkeypatch, command, flags,
+                                                  expected):
     """One stderr line naming the section (and the key when the check names
-    one), and no --out directory at all."""
+    one), no --out directory at all, and no training step or evaluation."""
+    def ran(*args):
+        pytest.fail("trained or evaluated before the config check")
+
+    for name in ("image_loss", "text_loss", "_probs"):
+        monkeypatch.setattr(cli, name, ran)
     out = tmp_path / "out"
     argv = [command, "--out", str(out), *flags]
     if command != "gen-data":
@@ -476,6 +498,15 @@ def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                  os.path.join(work["txt"], "checkpoint.tensors")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+def test_bad_worker_cap_fails_naming_the_variable(work, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setenv(MAX_WORKERS_ENV, "x")
+    out = tmp_path / "out"
+    assert cli.main(["bench-scaling", "--data", work["data"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {MAX_WORKERS_ENV} must be an integer, got 'x'\n"
     assert not out.exists()
 
 

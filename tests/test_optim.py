@@ -161,12 +161,12 @@ def test_sgd_matches_recurrence():
     grads = [rng.normal(size=(4, 3)) for _ in range(6)]
     expect = manual_sgd(p0, grads, 0.05, 0.9, 0.01)
 
-    params = {"w": p0.copy()}
-    vel = {}
+    params = p0.copy()
+    vel = np.zeros_like(p0)
     cfg = SgdConfig(momentum=0.9, weight_decay=0.01)
     for g in grads:
-        sgd_step(params, {"w": g}, 0.05, cfg, vel)
-    np.testing.assert_allclose(params["w"], expect, rtol=1e-12, atol=1e-14)
+        sgd_step(params, g, 0.05, cfg, vel)
+    np.testing.assert_allclose(params, expect, rtol=1e-12, atol=1e-14)
 
 
 def manual_adam(p0, grads, lr, b1, b2, eps, wd):
@@ -189,58 +189,46 @@ def test_adam_matches_recurrence():
     grads = [rng.normal(size=(5,)) for _ in range(8)]
     expect = manual_adam(p0, grads, 1e-3, 0.9, 0.999, 1e-8, 0.01)
 
-    params = {"w": p0.copy()}
-    moments = {}
+    params = p0.copy()
+    m, v = np.zeros_like(p0), np.zeros_like(p0)
     cfg = AdamConfig()
     for t, g in enumerate(grads, start=1):
-        adam_step(params, {"w": g}, 1e-3, cfg, t, moments)
-    np.testing.assert_allclose(params["w"], expect, rtol=1e-12, atol=1e-14)
+        adam_step(params, g, 1e-3, cfg, t, m, v)
+    np.testing.assert_allclose(params, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_adam_first_step_size_is_lr():
     """Bias correction makes the first update lr-sized regardless of the
     gradient scale (up to epsilon)."""
-    params = {"w": np.zeros(3)}
-    adam_step(params, {"w": np.full(3, 123.0)}, 0.01,
-              AdamConfig(weight_decay=0.0), 1, {})
-    np.testing.assert_allclose(params["w"], -0.01, rtol=1e-6)
+    params = np.zeros(3)
+    adam_step(params, np.full(3, 123.0), 0.01, AdamConfig(weight_decay=0.0), 1,
+              np.zeros(3), np.zeros(3))
+    np.testing.assert_allclose(params, -0.01, rtol=1e-6)
 
 
 def test_steps_update_in_place():
-    p = np.ones(3)
-    params = {"w": p}
-    sgd_step(params, {"w": np.ones(3)}, 0.1, SgdConfig(weight_decay=0.0), {})
-    assert params["w"] is p
-    np.testing.assert_allclose(p, 0.9 - 0.0)  # one plain momentum-0-history step
+    params, vel = np.ones(3), np.zeros(3)
+    sgd_step(params, np.ones(3), 0.1, SgdConfig(weight_decay=0.0), vel)
+    np.testing.assert_allclose(params, 0.9 - 0.0)  # one plain momentum-0-history step
+    np.testing.assert_allclose(vel, 1.0)
+    m, v = np.zeros(3), np.zeros(3)
+    adam_step(params, np.ones(3), 0.1, AdamConfig(), 1, m, v)
+    assert m.any() and v.any()
 
 
 def test_nonfinite_gradient_is_rejected():
-    params = {"w": np.ones(2)}
-    bad = {"w": np.array([1.0, np.nan])}
-    with pytest.raises(FloatingPointError, match="w"):
-        sgd_step(params, bad, 0.1, SgdConfig(), {})
-    with pytest.raises(FloatingPointError, match="w"):
-        adam_step(params, bad, 0.1, AdamConfig(), 1, {})
-
-
-def test_step_iteration_order_independence():
-    """Per-parameter state makes the result independent of dict ordering."""
-    rng = np.random.default_rng(2)
-    names = ["a", "b", "c", "d"]
-    values = {n: rng.normal(size=(3,)) for n in names}
-    grad_seq = [{n: rng.normal(size=(3,)) for n in names} for _ in range(4)]
-
-    def run(order):
-        params = {n: values[n].copy() for n in order}
-        vel = {}
-        for grads in grad_seq:
-            sgd_step(params, {n: grads[n] for n in order}, 0.1,
-                     SgdConfig(momentum=0.9), vel)
-        return params
-
-    fwd, rev = run(names), run(list(reversed(names)))
-    for n in names:
-        np.testing.assert_array_equal(fwd[n], rev[n])
+    """One check over the gradient buffer names the first bad parameter
+    and leaves every parameter as it was."""
+    for make in (SgdOptimizer, AdamOptimizer):
+        net = tiny_net()
+        opt = make(net, 0.1)
+        run_loss(net).backward()
+        net.group("layer_1").bias.grad[1] = np.nan
+        net.group("head").weight.grad[0, 0] = np.inf
+        before = opt.params.copy()
+        with pytest.raises(FloatingPointError, match="'layer_1.bias'"):
+            opt.step()
+        np.testing.assert_array_equal(opt.params, before)
 
 
 # -- optimizer objects over networks -------------------------------------------------
@@ -262,6 +250,33 @@ def run_loss(net):
     for name in net.group_names():
         out = net.group(name)(out, ctx)
     return (out * out).sum()
+
+
+def test_optimizer_owns_one_buffer_for_trainable_parameters():
+    """Trainable data and grad are views of the optimizer's buffers, in
+    parameter order with the loss slot last; frozen parameters stay out."""
+    net = tiny_net()
+    net.freeze(keep_trainable=["layer_1", "head"])
+    before = {n: p.data.copy() for n, p in net.named_params()}
+    opt = AdamOptimizer(net, 1e-2)
+    trainable = [p for _, p in net.named_params() if p.requires_grad]
+    assert opt.params.size == sum(p.data.size for p in trainable)
+    assert opt.grads.size == opt.params.size + 1
+    for n, p in net.named_params():
+        np.testing.assert_array_equal(p.data, before[n])
+        assert np.shares_memory(p.data, opt.params) == p.requires_grad
+        if p.requires_grad:
+            assert np.shares_memory(p.grad, opt.grads)
+        else:
+            assert p.grad is None
+    np.testing.assert_array_equal(
+        opt.params, np.concatenate([p.data.ravel() for p in trainable]))
+    run_loss(net).backward()
+    opt.step()
+    np.testing.assert_array_equal(
+        opt.params, np.concatenate([p.data.ravel() for p in trainable]))
+    np.testing.assert_array_equal(
+        opt.grads[:-1], np.concatenate([p.grad.ravel() for p in trainable]))
 
 
 def test_optimizer_applies_group_rates():
@@ -318,7 +333,7 @@ def test_zero_grad_clears_all():
     run_loss(net).backward()
     assert any(p.grad is not None for _, p in net.named_params())
     SgdOptimizer(net, 0.1).zero_grad()
-    assert all(p.grad is None for _, p in net.named_params())
+    assert all(not p.grad.any() for _, p in net.named_params())
 
 
 def test_identical_runs_are_bitwise_equal():

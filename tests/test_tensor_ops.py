@@ -12,7 +12,7 @@ from docbench.layers import BatchNorm2d, Ctx
 from docbench.parallel import batch_loss
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              save_tensors, trace)
-from helpers import conv2d_loops, maxpool_scan
+from helpers import conv2d_loops
 
 
 class TestConv2d:
@@ -206,36 +206,6 @@ class TestFusedNorms:
         assert {p.op for p in out.parents} == {"leaf"}
 
 
-class TestMaxPool:
-    def test_single_window(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert ops.maxpool2d(x, 2, 2).data.reshape(()) == 4.0
-
-    def test_constant_input(self):
-        x = Tensor(np.full((1, 1, 4, 4), 7.0), requires_grad=True)
-        out = ops.maxpool2d(x, 2, 2)
-        assert np.allclose(out.data, 7.0)
-        out.sum().backward()
-        # one unit of gradient per window
-        assert x.grad.sum() == 4.0
-        assert set(np.unique(x.grad)) == {0.0, 1.0}
-
-    def test_matches_window_scan_oracle(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((1, 1, 6, 6))
-        got = ops.maxpool2d(Tensor(x), 2, 2).data
-        assert np.array_equal(got, maxpool_scan(x, 2, 2))
-
-    def test_pool_larger_than_input_raises(self):
-        with pytest.raises(ShapeError, match="exceeds"):
-            ops.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3)
-
-    def test_tie_gradient_goes_to_first(self):
-        x = Tensor(np.array([[[[5.0, 5.0], [5.0, 5.0]]]]), requires_grad=True)
-        ops.maxpool2d(x, 2, 2).sum().backward()
-        assert np.array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
-
-
 class TestSoftmaxCrossentropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((3, 16)))
@@ -356,7 +326,6 @@ class TestFiniteForward:
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)))
         out = ops.swish(ops.conv2d(x, w, padding="same", stride=2))
-        out = ops.maxpool2d(out, 2, 1)
         assert np.isfinite(out.data).all()
         assert np.isfinite(ops.softmax(out.reshape(2, -1)).data).all()
 
