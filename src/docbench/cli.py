@@ -23,15 +23,15 @@ from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
                    generate_corpus, load_corpus, make_splits, resize,
                    save_corpus)
 from .efficientnet import BASE_STAGES, StageSpec, build_efficientnet
-from .ensemble import (REDUCERS, FusionWeights, evaluate, fuse,
-                       grid_search_weights, predict_classes, report_csv)
-from .layers import ACTIVATIONS, Network
+from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
+                       predict_classes, report_csv)
+from .layers import Network
 from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
                     SgdOptimizer, StlrConfig, group_lrs, reference_lr, stlr_lr)
-from .parallel import (SPEEDUP_MODES, ParallelConfig, eval_image_accuracy,
-                       eval_text_accuracy, image_loss, measure_speedup, predict,
-                       text_loss, train_parallel)
-from .scaling import BINDINGS, ScaledDims, ScalingSpec, compound_scale
+from .parallel import (ParallelConfig, eval_image_accuracy, eval_text_accuracy,
+                       image_loss, measure_speedup, predict, text_loss,
+                       train_parallel)
+from .scaling import ScaledDims, ScalingSpec, compound_scale
 from .tensor import Tensor
 from .text_encoder import TextEncoderSpec, build_text_encoder
 
@@ -70,8 +70,7 @@ def _stage_specs(cfg: Config):
 
 def _scaled_dims(cfg: Config) -> ScaledDims:
     dims = compound_scale(cfg.build(ScalingSpec, "image_model"),
-                          cfg.getint("image_model", "base_input_size"),
-                          cfg.getchoice("image_model", "binding", BINDINGS))
+                          cfg.getint("image_model", "base_input_size"))
     if cfg.get("image_model", "input_size").strip():
         dims = dataclasses.replace(
             dims, input_size=cfg.getint("image_model", "input_size"))
@@ -80,14 +79,16 @@ def _scaled_dims(cfg: Config) -> ScaledDims:
 
 def _build_image_net(cfg: Config, num_classes: int, seed: int):
     dims = _scaled_dims(cfg)
+    dropout = cfg.getfloat("image_model", "dropout")
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"image_model.dropout must be in [0, 1), got {dropout}")
     return build_efficientnet(
         _stage_specs(cfg), dims, num_classes,
         in_channels=cfg.getint("image_model", "in_channels"),
         seed=seed,
-        dropout_rate=cfg.getfloat("image_model", "dropout"),
+        dropout_rate=dropout,
         stem_channels=cfg.getint("image_model", "stem_channels"),
-        head_channels=cfg.getint("image_model", "head_channels"),
-        activation=cfg.getchoice("image_model", "activation", ACTIVATIONS))
+        head_channels=cfg.getint("image_model", "head_channels"))
 
 
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
@@ -98,7 +99,6 @@ def _text_max_len(cfg: Config, corpus: Corpus) -> int:
 
 def _build_text_net(cfg: Config, corpus: Corpus, seed: int):
     spec = cfg.build(TextEncoderSpec, "text_model",
-                     activation=cfg.getchoice("text_model", "activation", ACTIVATIONS),
                      vocab_size=corpus.spec.vocab_size,
                      max_len=_text_max_len(cfg, corpus),
                      num_classes=corpus.num_classes)
@@ -262,15 +262,14 @@ def cmd_train_text(args, cfg: Config) -> int:
         global_batch = args.workers * args.batch_per_worker
     else:
         global_batch = cfg.getint("text", "batch_size", minimum=1)
+        if global_batch % args.workers:
+            raise ConfigError(f"text.batch_size {global_batch} not divisible "
+                              f"by {args.workers} workers")
+    n = global_batch // args.workers
     corpus = load_corpus(args.data)
     index = cfg.getint("text", "split_index", minimum=0)
     plan = _splits(cfg, "text", corpus, index + 1, args.seed)[index]
     max_len = _text_max_len(cfg, corpus)
-
-    if global_batch % args.workers:
-        raise ConfigError(
-            f"batch {global_batch} not divisible by {args.workers} workers")
-    n = global_batch // args.workers
 
     train_loader = TextLoader(corpus, plan.train, global_batch, max_len,
                               seed=args.seed)
@@ -310,7 +309,10 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     started = time.time()
     n_splits = cfg.getint("splits", "n_splits", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
-    reducer = cfg.getchoice("ensemble", "reducer", REDUCERS)
+    use_grid = cfg.getbool("ensemble", "grid_search")
+    step = cfg.getfloat("ensemble", "grid_step")
+    if use_grid and not 0.0 < step <= 1.0:
+        raise ConfigError(f"ensemble.grid_step must be in (0, 1], got {step}")
     corpus = load_corpus(args.data)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
@@ -321,7 +323,6 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     plans = _splits(cfg, "splits", corpus, n_splits, args.seed)
     max_len = _text_max_len(cfg, corpus)
     dims = _scaled_dims(cfg)
-    use_grid = cfg.getbool("ensemble", "grid_search")
     fixed = cfg.build(FusionWeights, "ensemble")
 
     rows = []
@@ -338,8 +339,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
             vi, vt = loaders(plan.val)
             pv_img, yv = _probs(image_net, vi)
             pv_txt, _ = _probs(text_net, vt)
-            weights = grid_search_weights(pv_txt, pv_img, yv,
-                                          cfg.getfloat("ensemble", "grid_step"))
+            weights = grid_search_weights(pv_txt, pv_img, yv, step)
         else:
             weights = fixed
         ti, tt = loaders(plan.test)
@@ -354,7 +354,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
             "w1": weights.w1, "w2": weights.w2,
         })
 
-    report = report_csv(rows, reducer=reducer)
+    report = report_csv(rows)
     out = _ensure_out(args.out)
     report_path = os.path.join(out, "report.csv")
     with open(report_path, "w") as fh:
@@ -377,12 +377,13 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
     steps = cfg.getint("bench", "steps", minimum=1)
     warmup = cfg.getint("bench", "warmup", minimum=0)
-    mode = cfg.getchoice("bench", "mode", SPEEDUP_MODES)
     n = args.batch_per_worker if args.batch_per_worker_given \
         else cfg.getint("bench", "batch_per_worker", minimum=1)
+    k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
+    if not k_list:
+        raise ConfigError("bench.k_list must list at least one worker count")
     corpus = load_corpus(args.data)
     dims = _scaled_dims(cfg)
-    k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
 
     images = np.stack([
         d.image if d.image.shape[-1] == dims.input_size
@@ -400,7 +401,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     report = measure_speedup(
         lambda: _build_image_net(cfg, corpus.num_classes, args.seed),
         opt_factory, batch_factory, image_loss, k_list, n,
-        steps=steps, warmup=warmup, mode=mode, seed=args.seed)
+        steps=steps, warmup=warmup, seed=args.seed)
 
     out = _ensure_out(args.out)
     csv_path = os.path.join(out, "scaling.csv")
@@ -464,16 +465,16 @@ HANDLERS = {
 
 
 def _resolve(args, cfg: Config):
-    """Fill flag defaults from [run] and record which flags were given."""
+    """Fill flag defaults from [run], check each against its minimum, and
+    record which flags were given."""
     args.batch_per_worker_given = args.batch_per_worker is not None
-    for key in ("seed", "workers", "batch_per_worker"):
-        if getattr(args, key) is None:
-            setattr(args, key, cfg.getint("run", key))
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    if args.batch_per_worker < 1:
-        raise ConfigError(
-            f"batch per worker must be >= 1, got {args.batch_per_worker}")
+    for key, minimum in (("seed", 0), ("workers", 1), ("batch_per_worker", 1)):
+        value = getattr(args, key)
+        if value is None:
+            setattr(args, key, cfg.getint("run", key, minimum=minimum))
+        elif value < minimum:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= {minimum}, "
+                              f"got {value}")
 
 
 def main(argv=None) -> int:

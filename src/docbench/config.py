@@ -5,7 +5,9 @@ profile, an optional profile name or user config file, and command-line
 ``--set section.key=value`` overrides.  Files are plain INI sections.  The
 desk profile lists every key the pipeline reads, so it is the one source of
 defaults: the getters take no default, and a key missing from every layer
-fails as ``missing config value <section>.<key>``.
+fails as ``missing config value <section>.<key>``.  It is also the list of
+keys: a file or override that sets any other key fails as ``unknown config
+key <section>.<key>``.
 
 ``Config.build`` makes a dataclass from one section, reading each field under
 its own name, and every failure it raises names the section, and the key when
@@ -25,8 +27,6 @@ class ConfigError(ValueError):
 
 
 PROFILE_PACKAGE = "docbench.profiles"
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 
 
 def profile_path(name: str) -> str:
@@ -43,9 +43,11 @@ class Config:
 
     @classmethod
     def load(cls, config: str | None = None, overrides=()) -> "Config":
-        """Layer desk profile <- optional file or profile <- overrides."""
+        """Layer desk profile <- optional file or profile <- overrides, then
+        reject any key the desk profile does not define."""
         cfg = cls()
         cfg.read_file(profile_path("desk"))
+        known = set(cfg._keys())
         if config:
             if os.path.exists(config):
                 cfg.read_file(config)
@@ -53,6 +55,9 @@ class Config:
                 cfg.read_file(profile_path(config))
         for item in overrides:
             cfg.apply_override(item)
+        for section, key in cfg._keys():
+            if (section, key) not in known:
+                raise ConfigError(f"unknown config key {section}.{key}")
         return cfg
 
     def read_file(self, path: str):
@@ -71,6 +76,12 @@ class Config:
         if not self._cp.has_section(section):
             self._cp.add_section(section)
         self._cp.set(section, key.strip(), value.strip())
+
+    def _keys(self):
+        """Every (section, key) set in any layer, [DEFAULT] keys first."""
+        return [(self._cp.default_section, key) for key in self._cp.defaults()] + [
+            (section, key) for section in self._cp.sections()
+            for key in self._cp.options(section)]
 
     # -- typed access -------------------------------------------------------
 
@@ -98,15 +109,9 @@ class Config:
         return self._parse(section, key, float, "a number")
 
     def getbool(self, section, key) -> bool:
-        return self._parse(section, key, lambda raw: _BOOLEANS[raw.lower()],
+        return self._parse(section, key,
+                           lambda raw: self._cp.BOOLEAN_STATES[raw.lower()],
                            "a boolean")
-
-    def getchoice(self, section, key, choices) -> str:
-        raw = self.get(section, key)
-        if raw not in choices:
-            raise ConfigError(f"{section}.{key} must be one of "
-                              f"{'|'.join(choices)}, got {raw!r}")
-        return raw
 
     def getints(self, section, key, minimum=None) -> list:
         return self._parse(

@@ -83,8 +83,7 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
                        in_channels: int = 3, seed: int = 0,
                        dropout_rate: float = 0.2,
                        stem_channels: int = STEM_CHANNELS,
-                       head_channels: int = HEAD_CHANNELS,
-                       activation: str = "swish") -> ImageNetwork:
+                       head_channels: int = HEAD_CHANNELS) -> ImageNetwork:
     """Assemble stem -> scaled stages -> 1x1 head conv -> pooled classifier.
 
     Spatial extents are tracked stage by stage; shape-preserving padding
@@ -102,7 +101,7 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
     ch = round_channels(stem_channels, dims.width_mult)
     net.add_group("stem", Sequential(
         Conv2d(in_channels, ch, 3, stride=2, bias=False, rng=rng),
-        BatchNorm2d(ch), Activation(activation)))
+        BatchNorm2d(ch), Activation()))
     h, w = conv_output_dims(dims.input_size, dims.input_size, 3, 2, "same")
 
     for i, st in enumerate(stages, start=1):
@@ -112,11 +111,11 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
             stride = st.stride if j == 0 else 1
             if st.kind == "mbconv":
                 blocks.append(MBConv(ch, out_ch, st.expansion, st.kernel,
-                                     stride, st.se_ratio, rng, activation))
+                                     stride, st.se_ratio, rng))
             else:
                 blocks.append(Sequential(
                     Conv2d(ch, out_ch, st.kernel, stride=stride, bias=False, rng=rng),
-                    BatchNorm2d(out_ch), Activation(activation)))
+                    BatchNorm2d(out_ch), Activation()))
             ch = out_ch
             h, w = conv_output_dims(h, w, st.kernel, stride, "same")
         net.add_group(f"stage{i}", Sequential(*blocks))
@@ -124,7 +123,7 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
     head_ch = round_channels(head_channels, dims.width_mult)
     net.add_group("head_conv", Sequential(
         Conv2d(ch, head_ch, 1, bias=False, rng=rng),
-        BatchNorm2d(head_ch), Activation(activation)))
+        BatchNorm2d(head_ch), Activation()))
     net.add_group("head", Sequential(
         GlobalAvgPool(), Dropout(dropout_rate),
         Linear(head_ch, num_classes, rng)))

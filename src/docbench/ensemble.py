@@ -15,7 +15,6 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-9
 DEFAULT_WEIGHTS = (0.5, 0.5)
 REPORT_HEADER = "split_id,image_acc,text_acc,ensemble_acc,w1,w2"
-REDUCERS = ("median", "mean")
 
 
 @dataclass(frozen=True)
@@ -97,24 +96,21 @@ def grid_search_weights(val_text_preds, val_image_preds, labels,
     return FusionWeights(w1, 1.0 - w1)
 
 
-def report_csv(split_rows, reducer: str = "median") -> str:
-    """Per-split accuracy rows plus one summary row labeled by the reducer
-    that produced it.
+def report_csv(split_rows) -> str:
+    """Per-split accuracy rows plus one summary row, labeled ``median``, of
+    the accuracies' medians and the last split's weights.
 
     split_rows: dicts with split_id, image_acc, text_acc, ensemble_acc, w1, w2.
     """
-    if reducer not in REDUCERS:
-        raise ValueError(f"reducer must be {'|'.join(REDUCERS)}, got {reducer!r}")
-    reduce = statistics.median if reducer == "median" else statistics.fmean
     lines = [REPORT_HEADER]
     for r in split_rows:
         lines.append(f"{r['split_id']},{r['image_acc']:.4f},{r['text_acc']:.4f},"
                      f"{r['ensemble_acc']:.4f},{r['w1']:.2f},{r['w2']:.2f}")
     if split_rows:
-        img = reduce([r["image_acc"] for r in split_rows])
-        txt = reduce([r["text_acc"] for r in split_rows])
-        ens = reduce([r["ensemble_acc"] for r in split_rows])
+        img = statistics.median([r["image_acc"] for r in split_rows])
+        txt = statistics.median([r["text_acc"] for r in split_rows])
+        ens = statistics.median([r["ensemble_acc"] for r in split_rows])
         w1 = split_rows[-1]["w1"]
         w2 = split_rows[-1]["w2"]
-        lines.append(f"{reducer},{img:.4f},{txt:.4f},{ens:.4f},{w1:.2f},{w2:.2f}")
+        lines.append(f"median,{img:.4f},{txt:.4f},{ens:.4f},{w1:.2f},{w2:.2f}")
     return "\n".join(lines) + "\n"

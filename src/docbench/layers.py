@@ -14,8 +14,6 @@ import numpy as np
 from . import ops
 from .tensor import ShapeError, Tensor, load_tensors, save_tensors
 
-ACTIVATIONS = {"swish": ops.swish, "relu": ops.relu, "sigmoid": ops.sigmoid}
-
 
 class Ctx:
     """Per-call runtime state: training flag plus the rng driving dropout."""
@@ -102,14 +100,10 @@ class Sequential(Layer):
 
 
 class Activation(Layer):
-    def __init__(self, kind: str = "swish"):
-        super().__init__()
-        if kind not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {kind!r}")
-        self.kind = kind
+    """Swish, the activation of every block."""
 
     def __call__(self, x, ctx):
-        return ACTIVATIONS[self.kind](x)
+        return ops.swish(x)
 
 
 class Dropout(Layer):
@@ -170,7 +164,7 @@ class DepthwiseConv2d(Layer):
         self.padding = padding
 
     def __call__(self, x, ctx):
-        return ops.depthwise_conv2d(x, self.weight, None, self.stride, self.padding)
+        return ops.depthwise_conv2d(x, self.weight, self.stride, self.padding)
 
 
 class BatchNorm2d(Layer):
@@ -220,15 +214,15 @@ class SqueezeExcite(Layer):
     """Channel gate: globally pooled features squeezed to ``reduced`` then
     expanded back to per-channel sigmoid scales."""
 
-    def __init__(self, channels, reduced, rng=None, activation="swish"):
+    def __init__(self, channels, reduced, rng=None):
         super().__init__()
         self.reduce = Linear(channels, reduced, rng)
-        self.act = Activation(activation)
+        self.act = Activation()
         self.expand = Linear(reduced, channels, rng)
 
     def __call__(self, x, ctx):
         pooled = ops.global_avg_pool(x)
-        gate = ops.sigmoid(self.expand(self.act(self.reduce(pooled, ctx), ctx), ctx))
+        gate = self.expand(self.act(self.reduce(pooled, ctx), ctx), ctx).sigmoid()
         return x * gate.reshape(gate.shape[0], gate.shape[1], 1, 1)
 
 
@@ -237,7 +231,7 @@ class MBConv(Layer):
     1x1 project; identity shortcut when stride is 1 and channels match."""
 
     def __init__(self, in_ch, out_ch, expansion, kernel, stride, se_ratio,
-                 rng=None, activation="swish"):
+                 rng=None):
         super().__init__()
         if in_ch <= 0 or out_ch <= 0:
             raise ValueError(f"channel counts must be positive, got {in_ch} -> {out_ch}")
@@ -253,11 +247,10 @@ class MBConv(Layer):
         if se_ratio > 0:
             # reduction is computed from the block input width, not the
             # expanded width
-            self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng,
-                                    activation)
+            self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng)
         self.project_conv = Conv2d(mid, out_ch, 1, bias=False, rng=rng)
         self.project_bn = BatchNorm2d(out_ch)
-        self.act = Activation(activation)
+        self.act = Activation()
 
     def __call__(self, x, ctx):
         h = x
@@ -304,14 +297,14 @@ class TransformerBlock(Layer):
     """Post-norm encoder block: self-attention and feed-forward sublayers,
     each wrapped in dropout + residual + layer norm."""
 
-    def __init__(self, hidden, heads, dropout_rate, rng=None, activation="swish"):
+    def __init__(self, hidden, heads, dropout_rate, rng=None):
         super().__init__()
         self.attn = MultiHeadSelfAttention(hidden, heads, dropout_rate, rng)
         self.norm1 = LayerNorm(hidden)
         self.ff1 = Linear(hidden, 4 * hidden, rng, std=0.02)
         self.ff2 = Linear(4 * hidden, hidden, rng, std=0.02)
         self.norm2 = LayerNorm(hidden)
-        self.act = Activation(activation)
+        self.act = Activation()
         self.rate = dropout_rate
 
     def __call__(self, x, bias, ctx: Ctx):
@@ -381,17 +374,13 @@ class Network(Layer):
         return self._children[name]
 
     def freeze(self, keep_trainable):
-        """Freeze every group not listed; returns the parameter mask."""
+        """Freeze every group not listed."""
         keep = set(keep_trainable)
         unknown = keep - set(self._group_order)
         if unknown:
             raise KeyError(f"unknown group(s) {sorted(unknown)}; have {self._group_order}")
         for name in self._group_order:
             self.group(name).set_frozen(name not in keep)
-        return self.trainable_mask()
-
-    def trainable_mask(self):
-        return {name: p.requires_grad for name, p in self.named_params()}
 
     def trainable_count(self):
         return sum(p.data.size for _, p in self.named_params() if p.requires_grad)

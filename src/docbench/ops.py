@@ -116,8 +116,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     return Tensor.from_op("conv2d", parents, out, vjp)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-                     stride: int = 1, padding: str = VALID) -> Tensor:
+def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
+                     padding: str = VALID) -> Tensor:
     """Per-channel convolution: (N,C,H,W) with one (C,1,F,F) filter plane each."""
     _check_4d(x, "depthwise input")
     _check_4d(w, "depthwise filters")
@@ -127,8 +127,6 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"depthwise filters must be (C,1,F,F), got {w.shape}")
     if cf != c:
         raise ShapeError(f"one filter plane per channel required: {cf} planes, {c} channels")
-    if b is not None and b.shape != (c,):
-        raise ShapeError(f"bias shape {b.shape} does not match {c} channels")
     top, bottom, out_h = _pad_amounts(h, fh, stride, padding)
     left, right, out_w = _pad_amounts(wd, fw, stride, padding)
 
@@ -146,10 +144,6 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     for i in range(fh):
         for j in range(fw):
             out += np.multiply(at(xp, i, j), taps[:, i, j], out=term)
-    if b is not None:
-        out = out + b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
         dw = np.empty_like(w.data)
@@ -160,12 +154,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                 dw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, at(xp, i, j))
                 view = at(dxp, i, j)
                 view += np.multiply(g, taps[:, i, j], out=term)
-        dx = dxp[:, :, top : top + h, left : left + wd]
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dxp[:, :, top : top + h, left : left + wd], dw
 
-    return Tensor.from_op("depthwise_conv2d", parents, out, vjp)
+    return Tensor.from_op("depthwise_conv2d", (x, w), out, vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -187,14 +178,6 @@ def swish(x: Tensor) -> Tensor:
         return (d,)
 
     return Tensor.from_op("swish", (x,), out, vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -25,7 +25,6 @@ from .layers import Ctx
 from .ops import softmax_crossentropy
 
 MAX_WORKERS_ENV = "DOCBENCH_MAX_WORKERS"
-SPEEDUP_MODES = ("weak", "strong")
 CSV_HEADER = "k,wall_seconds,samples_per_sec,speedup,efficiency"
 
 
@@ -275,22 +274,20 @@ class _ReplayLoader:
 
 
 def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
-                    n: int, steps: int, warmup: int = 1, mode: str = "weak",
+                    n: int, steps: int, warmup: int = 1,
                     seed: int = 0) -> SpeedupReport:
-    """Time fixed-work training at each worker count.
+    """Time weak-scaling training at each worker count.
 
     batch_factory(global_size) must return one deterministic global batch;
     the same batch is replayed every step so nothing but compute is timed.
-    Weak mode holds n per worker (global batch n*k, fewer steps at higher
-    k); strong mode splits a fixed global batch of n across workers.  Each
-    k trains two train_parallel epochs, `warmup` steps then the timed ones,
-    and the second epoch's `seconds` is the wall time.  Speedup is the
-    throughput ratio against k=1, so S(1)=1 by construction.
+    Each worker holds n samples, so the global batch is n*k and the timed
+    steps shrink to round(steps / k), at least 1.  Each k trains two
+    train_parallel epochs, `warmup` steps then the timed ones, and the
+    second epoch's `seconds` is the wall time.  Speedup is the throughput
+    ratio against k=1, so S(1)=1 by construction.
     """
     if not k_list or min(k_list) < 1:
         raise ValueError(f"k_list must be nonempty with every k >= 1, got {k_list}")
-    if mode not in SPEEDUP_MODES:
-        raise ValueError(f"mode must be {'|'.join(SPEEDUP_MODES)}, got {mode!r}")
     raw_cap = os.environ.get(MAX_WORKERS_ENV, "0")
     try:
         cap = int(raw_cap) or None
@@ -305,17 +302,11 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
                 warnings.warn(f"k={k} exceeds {MAX_WORKERS_ENV}={cap}; skipped",
                               stacklevel=2)
                 continue
-            if mode == "weak":
-                global_batch = n * k
-                timed_steps = max(1, round(steps / k))
-            else:
-                if n % k:
-                    raise ValueError(f"global batch {n} not divisible by k={k}")
-                global_batch = n
-                timed_steps = steps
+            global_batch = n * k
+            timed_steps = max(1, round(steps / k))
             loader = _ReplayLoader(batch_factory(global_batch),
                                    (warmup, timed_steps))
-            cfg = ParallelConfig(k=k, n=global_batch // k, seed=seed)
+            cfg = ParallelConfig(k=k, n=n, seed=seed)
             _, metrics = train_parallel(model_factory, opt_factory, loader,
                                         loss_fn, cfg, epochs=2)
             wall = metrics[1]["seconds"]

@@ -14,12 +14,6 @@ from dataclasses import dataclass
 CONSTRAINT_TARGET = 2.0
 CONSTRAINT_TOLERANCE = 0.05
 
-# Which base drives which multiplier.  "constraint" ties depth to alpha and
-# width to beta (the binding the alpha*beta^2*gamma^2 constraint implies,
-# since width and resolution enter cost quadratically).  "prose" swaps the
-# two letters.
-BINDINGS = ("constraint", "prose")
-
 
 @dataclass(frozen=True)
 class ScalingSpec:
@@ -56,19 +50,15 @@ def round_to_even(value: float) -> int:
     return max(2, 2 * round(value / 2.0))
 
 
-def compound_scale(spec: ScalingSpec, base_input_size: int = 224,
-                   binding: str = "constraint") -> ScaledDims:
+def compound_scale(spec: ScalingSpec, base_input_size: int = 224) -> ScaledDims:
     """Expand a scaling spec into concrete multipliers and an input size."""
-    if binding not in BINDINGS:
-        raise ValueError(f"binding must be one of {BINDINGS}, got {binding!r}")
     if not spec.constraint_ok():
         warnings.warn(
             f"scaling bases miss alpha*beta^2*gamma^2 ~= {CONSTRAINT_TARGET} "
             f"(residual {spec.constraint_residual:.4f})", stacklevel=2)
-    if binding == "constraint":
-        depth, width = spec.alpha ** spec.phi, spec.beta ** spec.phi
-    else:
-        width, depth = spec.alpha ** spec.phi, spec.beta ** spec.phi
+    depth = spec.alpha ** spec.phi
+    # width takes beta: like resolution, it enters cost squared
+    width = spec.beta ** spec.phi
     resolution = spec.gamma ** spec.phi
     return ScaledDims(width_mult=width, depth_mult=depth,
                       resolution_mult=resolution,

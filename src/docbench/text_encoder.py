@@ -25,7 +25,6 @@ class TextEncoderSpec:
     max_len: int
     num_classes: int
     dropout: float = 0.2
-    activation: str = "swish"
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -48,6 +47,6 @@ def build_text_encoder(spec: TextEncoderSpec, seed: int = 0) -> TextNetwork:
         spec.vocab_size, spec.max_len, spec.hidden, spec.dropout, rng))
     for layer in range(1, spec.num_layers + 1):
         net.add_group(f"layer_{layer}", TransformerBlock(
-            spec.hidden, spec.heads, spec.dropout, rng, spec.activation))
+            spec.hidden, spec.heads, spec.dropout, rng))
     net.add_group("head", Linear(spec.hidden, spec.num_classes, rng, std=0.02))
     return net

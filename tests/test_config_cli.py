@@ -46,6 +46,16 @@ def test_config_file_layers_between_profile_and_overrides(tmp_path):
     assert cfg.getint("corpus", "vocab_size") == 32   # profile fills the rest
 
 
+def test_unknown_key_in_config_file_is_rejected(tmp_path):
+    f = tmp_path / "stale.cfg"
+    f.write_text("[corpus]\nnum_classes = 9\n\n[image_model]\nbinding = prose\n")
+    with pytest.raises(ConfigError, match=r"^unknown config key image_model\.binding$"):
+        Config.load(config=str(f))
+    f.write_text("[DEFAULT]\nseed = 5\n")
+    with pytest.raises(ConfigError, match=r"^unknown config key DEFAULT\.seed$"):
+        Config.load(config=str(f))
+
+
 def test_named_profile_as_config():
     cfg = Config.load(config="full")
     assert cfg.getint("corpus", "num_classes") == 16
@@ -424,8 +434,6 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     if command == "ensemble-eval":
         argv += ["--image-checkpoint", os.path.join(work["pre"], "checkpoint.tensors"),
                  "--text-checkpoint", os.path.join(work["txt"], "checkpoint.tensors")]
-    if command == "bench-scaling":
-        argv += ["--set", "bench.mode=strong"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {key} must be >= ")
@@ -461,20 +469,32 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     ("ensemble-eval", ["--set", "splits.train_size=0"],
      "splits: train 0 + val 20 must equal quota 25 x 4 classes"),
     ("pretrain", ["--set", "image_model.binding=x"],
-     "image_model.binding must be one of constraint|prose, got 'x'"),
+     "unknown config key image_model.binding"),
     ("bench-scaling", ["--set", "bench.mode=x"],
-     "bench.mode must be one of weak|strong, got 'x'"),
+     "unknown config key bench.mode"),
     ("pretrain", ["--set", "image_model.activation=x"],
-     "image_model.activation must be one of swish|relu|sigmoid, got 'x'"),
+     "unknown config key image_model.activation"),
     ("train-text", ["--set", "text_model.activation=x"],
-     "text_model.activation must be one of swish|relu|sigmoid, got 'x'"),
+     "unknown config key text_model.activation"),
     ("finetune", ["--set", "finetune.keep_trainable=head bogus"],
      "finetune.keep_trainable: unknown group(s) ['bogus']; "
      "have ['stem', 'stage1', 'stage2', 'head_conv', 'head']"),
     ("ensemble-eval", ["--set", "ensemble.reducer=x"],
-     "ensemble.reducer must be one of median|mean, got 'x'"),
+     "unknown config key ensemble.reducer"),
     ("gen-data", ["--set", "corpus.docs_per_class="],
      "corpus.docs_per_class must list at least one count, each >= 1"),
+    ("gen-data", ["--set", "corpus.num_clases=3"],
+     "unknown config key corpus.num_clases"),
+    ("ensemble-eval", ["--set", "ensemble.grid_search=true",
+                       "--set", "ensemble.grid_step=0"],
+     "ensemble.grid_step must be in (0, 1], got 0.0"),
+    ("pretrain", ["--set", "image_model.dropout=1.5"],
+     "image_model.dropout must be in [0, 1), got 1.5"),
+    ("bench-scaling", ["--set", "bench.k_list="],
+     "bench.k_list must list at least one worker count"),
+    ("gen-data", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("train-text", ["--workers", "4"],
+     "text.batch_size 6 not divisible by 4 workers"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,

@@ -237,16 +237,9 @@ def rows(n):
 
 
 def test_report_csv_shape_and_summary():
-    out = report_csv(rows(3), reducer="median")
+    out = report_csv(rows(3))
     lines = out.strip().split("\n")
     assert lines[0] == REPORT_HEADER
     assert len(lines) == 1 + 3 + 1  # header, per-split, summary
     assert lines[-1].startswith("median,")
     assert lines[-1].split(",")[1] == "0.8100"
-
-
-def test_report_csv_mean_label():
-    out = report_csv(rows(2), reducer="mean")
-    assert out.strip().split("\n")[-1].startswith("mean,")
-    with pytest.raises(ValueError):
-        report_csv(rows(1), reducer="max")

@@ -10,17 +10,17 @@ from hypothesis import given, settings, strategies as st
 from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
                                    StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
-from docbench.layers import Activation, Ctx, MBConv, count_params
+from docbench.layers import Ctx, MBConv, count_params
 from docbench.ops import conv_output_dims
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
                               round_to_even)
 from docbench.text_encoder import TextEncoderSpec, build_text_encoder
 
 
-def dims_for(phi, alpha=1.2, beta=1.1, gamma=1.15, base=224, binding="constraint"):
+def dims_for(phi, alpha=1.2, beta=1.1, gamma=1.15, base=224):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return compound_scale(ScalingSpec(alpha, beta, gamma, phi), base, binding)
+        return compound_scale(ScalingSpec(alpha, beta, gamma, phi), base)
 
 
 MICRO_STAGES = (
@@ -59,12 +59,6 @@ def test_family_multipliers_at_phi_one():
     assert d.resolution_mult == pytest.approx(1.15)
 
 
-def test_prose_binding_swaps_depth_and_width():
-    c = dims_for(1.0, binding="constraint")
-    p = dims_for(1.0, binding="prose")
-    assert (p.width_mult, p.depth_mult) == (c.depth_mult, c.width_mult)
-
-
 def test_input_size_rounds_to_even():
     # 224 * 1.71 = 383.04 -> nearest even is 384
     d = dims_for(1.0, gamma=1.71, base=224)
@@ -89,8 +83,6 @@ def test_scaling_validation():
         ScalingSpec(0.9, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         compound_scale(ScalingSpec(2.0, 1.0, 1.0, -1.0))
-    with pytest.raises(ValueError):
-        compound_scale(ScalingSpec(2.0, 1.0, 1.0, 1.0), binding="nope")
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,23 +196,6 @@ def test_mbconv_rejects_bad_channels():
 
 
 # -- full network builds -------------------------------------------------------------
-
-
-def test_activation_reaches_every_block():
-    """The configured activation is used by the stem, every MBConv block and
-    its squeeze-excite gate, and the head."""
-    dims = ScaledDims(1.0, 1.0, 1.0, 16)
-    net = build_efficientnet(MICRO_STAGES, dims, 4, in_channels=1, seed=0,
-                             stem_channels=8, head_channels=32, activation="relu")
-
-    def walk(layer):
-        yield layer
-        for child in layer._children.values():
-            yield from walk(child)
-
-    kinds = [layer.kind for layer in walk(net) if isinstance(layer, Activation)]
-    assert len(kinds) == 2 + 3 * 2  # stem, head_conv; three blocks with SE
-    assert set(kinds) == {"relu"}
 
 
 def test_group_layout():
