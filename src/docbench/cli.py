@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import statistics
 import sys
 import time
@@ -28,9 +29,9 @@ from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
 from .layers import Network
 from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
                     SgdOptimizer, StlrConfig, group_lrs, reference_lr, stlr_lr)
-from .parallel import (ParallelConfig, eval_image_accuracy, eval_text_accuracy,
-                       image_loss, measure_speedup, predict, text_loss,
-                       train_parallel)
+from .parallel import (MAX_WORKERS_ENV, ParallelConfig, eval_image_accuracy,
+                       eval_text_accuracy, image_loss, measure_speedup, predict,
+                       text_loss, train_parallel)
 from .scaling import ScaledDims, ScalingSpec, compound_scale
 from .tensor import Tensor
 from .text_encoder import TextEncoderSpec, build_text_encoder
@@ -39,6 +40,7 @@ METRICS_HEADER = "epoch,train_loss,val_acc,lr"
 
 # published multi-GPU reference point printed next to bench-scaling output
 REFERENCE_REDUCTION_AT_4 = 75.4
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # -- config -> domain objects -------------------------------------------------------
@@ -91,6 +93,17 @@ def _build_image_net(cfg: Config, num_classes: int, seed: int):
         head_channels=cfg.getint("image_model", "head_channels"))
 
 
+def _image_corpus(args, cfg: Config) -> Corpus:
+    """The --data corpus, once image_model.in_channels matches its images."""
+    corpus = load_corpus(args.data)
+    channels = cfg.getint("image_model", "in_channels")
+    have = corpus.documents[0].image.shape[0]
+    if channels != have:
+        raise ConfigError(f"image_model.in_channels {channels} does not match "
+                          f"the corpus's {have} image channel(s)")
+    return corpus
+
+
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
     if cfg.get("text_model", "max_len").strip():
         return cfg.getint("text_model", "max_len")
@@ -123,6 +136,15 @@ def _splits(cfg: Config, section: str, corpus: Corpus, count: int, seed: int):
 # -- artifact writing ---------------------------------------------------------------
 
 
+def _environment() -> dict:
+    """The machine and numeric stack a run ran on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
+            **{var: os.environ.get(var) for var in (*BLAS_THREAD_VARS, MAX_WORKERS_ENV)}}
+
+
 def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
                     started: float, extra=None):
     manifest = {
@@ -133,6 +155,7 @@ def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
         "config": cfg.snapshot(),
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
         "wall_clock_seconds": round(time.time() - started, 3),
+        "environment": _environment(),
     }
     if extra:
         manifest.update(extra)
@@ -194,7 +217,7 @@ def _train_image(args, cfg: Config, section: str, initial=None,
     started = time.time()
     epochs = cfg.getint(section, "epochs", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
-    corpus = load_corpus(args.data)
+    corpus = _image_corpus(args, cfg)
     index = cfg.getint(section, "split_index", minimum=0)
     plan = _splits(cfg, section, corpus, index + 1, args.seed)[index]
     dims = _scaled_dims(cfg)
@@ -313,7 +336,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     step = cfg.getfloat("ensemble", "grid_step")
     if use_grid and not 0.0 < step <= 1.0:
         raise ConfigError(f"ensemble.grid_step must be in (0, 1], got {step}")
-    corpus = load_corpus(args.data)
+    corpus = _image_corpus(args, cfg)
 
     image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
     image_net.load(args.image_checkpoint)
@@ -382,7 +405,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
     if not k_list:
         raise ConfigError("bench.k_list must list at least one worker count")
-    corpus = load_corpus(args.data)
+    corpus = _image_corpus(args, cfg)
     dims = _scaled_dims(cfg)
 
     images = np.stack([

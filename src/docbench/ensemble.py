@@ -29,15 +29,9 @@ class FusionWeights:
             raise ValueError(f"weights must sum to 1, got {self.w1 + self.w2}")
 
 
-def _as_weights(w) -> FusionWeights:
-    if isinstance(w, FusionWeights):
-        return w
-    return FusionWeights(*w)
-
-
 def fuse(p_text, p_image, w=DEFAULT_WEIGHTS):
     """Weighted sum w1*p_text + w2*p_image of two class distributions."""
-    w = _as_weights(w)
+    w = w if isinstance(w, FusionWeights) else FusionWeights(*w)
     p_text = np.asarray(p_text, dtype=np.float64)
     p_image = np.asarray(p_image, dtype=np.float64)
     if p_text.shape != p_image.shape:
@@ -107,10 +101,8 @@ def report_csv(split_rows) -> str:
         lines.append(f"{r['split_id']},{r['image_acc']:.4f},{r['text_acc']:.4f},"
                      f"{r['ensemble_acc']:.4f},{r['w1']:.2f},{r['w2']:.2f}")
     if split_rows:
-        img = statistics.median([r["image_acc"] for r in split_rows])
-        txt = statistics.median([r["text_acc"] for r in split_rows])
-        ens = statistics.median([r["ensemble_acc"] for r in split_rows])
-        w1 = split_rows[-1]["w1"]
-        w2 = split_rows[-1]["w2"]
+        img, txt, ens = (statistics.median([r[col] for r in split_rows])
+                         for col in ("image_acc", "text_acc", "ensemble_acc"))
+        w1, w2 = split_rows[-1]["w1"], split_rows[-1]["w2"]
         lines.append(f"median,{img:.4f},{txt:.4f},{ens:.4f},{w1:.2f},{w2:.2f}")
     return "\n".join(lines) + "\n"

@@ -388,10 +388,8 @@ class Network(Layer):
     # -- checkpointing ---------------------------------------------------
 
     def state_arrays(self):
-        out = {name: p.data for name, p in self.named_params()}
-        for name, b in self.named_buffers():
-            out[name] = b
-        return out
+        return {**{name: p.data for name, p in self.named_params()},
+                **dict(self.named_buffers())}
 
     def save(self, path, extra_meta=None):
         meta = {"kind": "network-state", "groups": self._group_order,

@@ -96,10 +96,7 @@ def stlr_lr(t: int, cfg: StlrConfig) -> float:
     if t < 0 or t > cfg.total_steps:
         raise ValueError(f"step {t} outside [0, {cfg.total_steps}]")
     cut = cfg.cut
-    if t < cut:
-        p = t / cut
-    else:
-        p = 1.0 - (t - cut) / (cfg.total_steps - cut)
+    p = t / cut if t < cut else 1.0 - (t - cut) / (cfg.total_steps - cut)
     return cfg.eta_max * (1.0 + p * (cfg.ratio - 1.0)) / cfg.ratio
 
 
@@ -120,11 +117,9 @@ def group_lrs(cfg: LayerwiseDecayConfig, num_layers: int):
     """Map text-model group names to rates: encoder layers per layerwise_lrs,
     embedding tied to the deepest layer, head at eta_top."""
     rates = layerwise_lrs(cfg, num_layers)
-    out = {"embedding": rates[0]}
-    for i, lr in enumerate(rates, start=1):
-        out[f"layer_{i}"] = lr
-    out["head"] = cfg.eta_top
-    return out
+    return {"embedding": rates[0],
+            **{f"layer_{i}": lr for i, lr in enumerate(rates, start=1)},
+            "head": cfg.eta_top}
 
 
 def sgd_step(params, grads, lr, cfg: SgdConfig, velocity):

@@ -1,12 +1,14 @@
-"""Synchronous data-parallel training across k in-process workers.
+"""Synchronous data-parallel training across k worker processes.
 
-Each worker thread owns a full model replica and a disjoint shard of every
-global batch.  Per step the shard-mean gradients are summed by
-``ring_allreduce`` (k chunks, k-1 scatter-reduce phases then k-1 all-gather
-phases): every worker posts its optimizer's gradient buffer, with the loss
-in its last slot, worker 0 runs the ring over the posted list between two
-barriers, and each worker copies its own result back into its buffer.  Every
-replica then applies the identical optimizer step, so replicas never diverge.
+Worker 0 is the calling process; workers 1..k-1 are forked from it.  Each
+worker owns a full model replica and a disjoint shard of every global batch.
+Per step the shard-mean gradients are summed by ``ring_allreduce`` (k
+chunks, k-1 scatter-reduce phases then k-1 all-gather phases): every worker
+writes its optimizer's gradient buffer, with the loss in its last slot, into
+its row of one shared-memory block, worker 0 runs the ring over the rows and
+writes each result back, and each worker copies its own row into its buffer.
+Pipes to and from worker 0 order these steps.  Every replica then applies
+the identical optimizer step, so replicas never diverge.
 ``naive_allreduce``, a fixed-order summation, is the oracle the ring is
 tested against.
 """
@@ -14,10 +16,11 @@ tested against.
 from __future__ import annotations
 
 import os
-import threading
+import pickle
 import time
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,51 +96,105 @@ def naive_allreduce(vectors):
     return [total.copy() for _ in arrays]
 
 
+_READY, _FAILED = b"r", b"f"
+
+
 class _Collective:
-    """Rendezvous of k worker threads around ring_allreduce: each worker
-    posts its vector, worker 0 runs the ring over the posted list between
-    two barriers, and each worker takes its own result."""
+    """Rendezvous of k worker processes around ring_allreduce, over one
+    shared block of k rows and pipes to and from worker 0.  Each process
+    keeps only its own pipe ends, so a dead worker reads as EOF at worker 0,
+    and worker 0 ending reads as EOF at the others."""
 
-    def __init__(self, k: int):
-        self.k = k
-        self.barrier = threading.Barrier(k)
-        self.posted = [None] * k
-        self.results = None
+    def __init__(self, k: int, size: int):
+        import mmap
+        self.w, self.pids = 0, {}
+        self.block = np.frombuffer(mmap.mmap(-1, 8 * k * max(size, 1))).reshape(k, -1)
+        # worker w > 0 talks over (up read, up write, down read, down write)
+        self.pipes = {w: os.pipe() + os.pipe() for w in range(1, k)}
+        self.fds = {fd for fds in self.pipes.values() for fd in fds}
 
-    def allreduce(self, w: int, vec: np.ndarray) -> np.ndarray:
-        self.posted[w] = vec
-        self.barrier.wait()
-        if w == 0:
-            self.results = ring_allreduce(self.posted)
-        # worker 0 replaces results only after the next call's first barrier,
-        # which every worker reaches after taking its own result
-        self.barrier.wait()
-        return self.results[w]
+    def keep(self, w: int):
+        """Become worker w: close every pipe end that is not w's own."""
+        self.w = w
+        mine = {fd for v, fds in self.pipes.items()
+                for fd in (fds[0::3] if w == 0 else fds[1:3] if v == w else ())}
+        for fd in self.fds - mine:
+            os.close(fd)
+        self.fds = mine
+
+    def allreduce(self, vec: np.ndarray) -> np.ndarray:
+        """Elementwise sum of the 1-D vec over the workers; this worker's copy."""
+        self.block[self.w, :vec.size] = vec
+        self.sync(vec.size)
+        return self.block[self.w, :vec.size].copy()
+
+    def sync(self, n: int = 0):
+        """Wait for every worker; worker 0 all-reduces the rows' first n
+        entries before it releases the others."""
+        if self.w:
+            os.write(self.pipes[self.w][1], _READY)
+            if os.read(self.pipes[self.w][2], 1) != _READY:
+                raise EOFError("worker 0 has ended")
+            return
+        for w in self.pipes:
+            self.hear(w)
+        self.block[:, :n] = ring_allreduce(list(self.block[:, :n]))
+        for fds in self.pipes.values():
+            os.write(fds[3], _READY)
+
+    def hear(self, w: int, ended: bool = False):
+        """Worker 0: wait until worker w has posted, or with `ended` until
+        it has exited with status 0; raise its exception or exit status."""
+        mark = os.read(self.pipes[w][0], 1)
+        if mark == _READY and not ended:
+            return
+        if mark == _FAILED:
+            with open(self.pipes[w][0], "rb", closefd=False) as fh:
+                raise pickle.loads(fh.read())
+        if mark:
+            raise RuntimeError(f"worker {w} is out of step with worker 0")
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pids.pop(w), 0)[1])
+        if code or not ended:
+            raise RuntimeError(f"worker {w} exited with status {code}")
 
 
-def _run_workers(k: int, body):
-    """Run body(worker_id) on k threads; propagate the first worker error."""
-    if k == 1:
-        body(0)
-        return
-    errors = []
-
-    def runner(w):
-        try:
-            body(w)
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=runner, args=(w,), daemon=True)
-               for w in range(k)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+def _run_workers(k: int, size: int, body):
+    """Run body(collective) on k workers; return worker 0's result.  Worker 0
+    is this process; workers 1..k-1 are forked, never return, and send their
+    exception up their pipe, pickled or else as a RuntimeError naming its
+    type.  Worker 0 raises the first failure it hears of, once all have ended."""
+    collective = _Collective(k, size)
+    try:
+        for w in range(1, k):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    collective.keep(w)
+                    body(collective)
+                    status = 0
+                except BaseException as exc:  # noqa: BLE001 - sent to worker 0
+                    try:
+                        payload = pickle.dumps(exc)
+                        pickle.loads(payload)
+                    except Exception:  # noqa: BLE001 - any pickling failure
+                        payload = pickle.dumps(RuntimeError(
+                            f"worker {w}: {type(exc).__name__}: {exc}"))
+                    with open(collective.pipes[w][1], "wb", closefd=False) as fh:
+                        fh.write(_FAILED + payload)
+                finally:
+                    os._exit(status)
+            collective.pids[w] = pid
+        collective.keep(0)
+        result = body(collective)
+        for w in range(1, k):
+            collective.hear(w, ended=True)
+        return result
+    finally:
+        for fd in collective.fds:
+            os.close(fd)
+        for pid in collective.pids.values():
+            os.waitpid(pid, 0)
 
 
 # -- synchronous data-parallel training -----------------------------------------
@@ -159,81 +216,81 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
     Shard-mean gradients are all-reduced and divided by k, i.e. the update
     uses the gradient mean over the whole global batch.  Returns (worker-0
     replica, per-epoch metrics rows); a row's `seconds` is worker 0's wall
-    time for the epoch's steps, clocked from a barrier at the epoch start,
+    time for the epoch's steps, clocked from a rendezvous at the epoch start,
     without eval.
     """
     k = cfg.k
-    collective = _Collective(k)
-    shared = {}
+    # numpy's error state belongs to the process, so the forked workers keep
+    # it; the optimizer's non-finite check then reports an overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        net = model_factory()
+        opt = opt_factory(net)
 
-    def body(w: int):
-        try:
-            # numpy's error state is per thread, so each worker sets its own;
-            # the optimizer's non-finite check then reports an overflow
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                net = model_factory()
-                opt = opt_factory(net)
-                ctx = Ctx(training=True,
-                          rng=np.random.default_rng(
-                              np.random.SeedSequence([cfg.seed, w])))
-                buffers = [b for _, b in net.named_buffers()]
-                metrics = []
-                for epoch in range(epochs):
-                    losses = []
-                    peak_lr = 0.0
-                    if k > 1:
-                        collective.barrier.wait()
-                    started = time.perf_counter()
-                    for step, batch in enumerate(loader.epoch(epoch)):
-                        if batch[0].shape[0] != cfg.global_batch:
-                            raise ValueError(
-                                f"loader batch {batch[0].shape[0]} != global "
-                                f"batch {cfg.global_batch}")
-                        lo, hi = w * cfg.n, (w + 1) * cfg.n
-                        shard = tuple(a[lo:hi] for a in batch)
-                        opt.zero_grad()
-                        loss = loss_fn(net, shard, ctx)
-                        loss.backward()
-                        opt.grads[-1] = loss.item()
-                        if k > 1:
-                            np.divide(collective.allreduce(w, opt.grads), k,
-                                      out=opt.grads)
-                        try:
-                            peak_lr = max(peak_lr, opt.step())
-                        except FloatingPointError as exc:
-                            raise FloatingPointError(
-                                f"epoch {epoch}, step {step}: {exc}") from None
-                        losses.append(float(opt.grads[-1]))
-                        if debug and k > 1:
-                            all_p = collective.allreduce(w, opt.params)
-                            dev = np.max(np.abs(opt.params - all_p / k))
-                            if dev > 1e-6:
-                                raise RuntimeError(
-                                    f"replica divergence {dev:.3e} beyond 1e-6")
-                    seconds = time.perf_counter() - started
-                    if k > 1 and buffers:
-                        # running statistics differ per shard; re-sync as the mean
-                        flat_b = np.concatenate([b.ravel() for b in buffers])
-                        mean_b = collective.allreduce(w, flat_b) / k
-                        off = 0
-                        for b in buffers:
-                            b[...] = mean_b[off:off + b.size].reshape(b.shape)
-                            off += b.size
-                    loss_mean = float(np.mean(losses)) if losses else float("nan")
-                    row = {"epoch": epoch, "train_loss": loss_mean,
-                           "lr": peak_lr, "seconds": seconds}
-                    if w == 0 and eval_fn is not None:
-                        row["val_acc"] = float(eval_fn(net))
-                    metrics.append(row)
-                if w == 0:
-                    shared["net"] = net
-                    shared["metrics"] = metrics
-        except BaseException:
-            collective.barrier.abort()
-            raise
+        def run(collective, net, opt):
+            w = collective.w if collective else 0
+            buffers = [b for _, b in net.named_buffers()]
+            ctx = Ctx(training=True,
+                      rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, w])))
+            metrics = []
+            for epoch in range(epochs):
+                losses = []
+                peak_lr = 0.0
+                if collective:
+                    collective.sync()
+                started = time.perf_counter()
+                for step, batch in enumerate(loader.epoch(epoch)):
+                    if batch[0].shape[0] != cfg.global_batch:
+                        raise ValueError(
+                            f"loader batch {batch[0].shape[0]} != global "
+                            f"batch {cfg.global_batch}")
+                    lo, hi = w * cfg.n, (w + 1) * cfg.n
+                    shard = tuple(a[lo:hi] for a in batch)
+                    opt.zero_grad()
+                    loss = loss_fn(net, shard, ctx)
+                    loss.backward()
+                    opt.grads[-1] = loss.item()
+                    if collective:
+                        np.divide(collective.allreduce(opt.grads), k, out=opt.grads)
+                    try:
+                        peak_lr = max(peak_lr, opt.step())
+                    except FloatingPointError as exc:
+                        raise FloatingPointError(
+                            f"epoch {epoch}, step {step}: {exc}") from None
+                    losses.append(float(opt.grads[-1]))
+                    if debug and collective:
+                        all_p = collective.allreduce(opt.params)
+                        dev = np.max(np.abs(opt.params - all_p / k))
+                        if dev > 1e-6:
+                            raise RuntimeError(
+                                f"replica divergence {dev:.3e} beyond 1e-6")
+                seconds = time.perf_counter() - started
+                if collective and buffers:
+                    # running statistics differ per shard; re-sync as the mean
+                    mean_b = collective.allreduce(
+                        np.concatenate([b.ravel() for b in buffers])) / k
+                    ends = np.cumsum([b.size for b in buffers])
+                    for b, part in zip(buffers, np.split(mean_b, ends[:-1])):
+                        b[...] = part.reshape(b.shape)
+                loss_mean = float(np.mean(losses)) if losses else float("nan")
+                row = {"epoch": epoch, "train_loss": loss_mean,
+                       "lr": peak_lr, "seconds": seconds}
+                if w == 0 and eval_fn is not None:
+                    row["val_acc"] = float(eval_fn(net))
+                metrics.append(row)
+            return metrics
 
-    _run_workers(k, body)
-    return shared["net"], shared["metrics"]
+        if k == 1:
+            return net, run(None, net, opt)
+
+        def worker(collective):
+            if collective.w:  # each forked worker builds its own replica
+                replica = model_factory()
+                return run(collective, replica, opt_factory(replica))
+            return run(collective, net, opt)
+
+        # opt.grads is one longer than opt.params, which debug exchanges
+        size = max(opt.grads.size, sum(b.size for _, b in net.named_buffers()))
+        return net, _run_workers(k, size, worker)
 
 
 # -- scaling benchmark -------------------------------------------------------------
@@ -244,12 +301,9 @@ class SpeedupReport:
     rows: list  # dicts with k, wall_seconds, samples_per_sec, speedup, efficiency
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r['k']},{r['wall_seconds']:.6f},"
-                         f"{r['samples_per_sec']:.3f},{r['speedup']:.4f},"
-                         f"{r['efficiency']:.4f}")
-        return "\n".join(lines) + "\n"
+        return "\n".join([CSV_HEADER] + [
+            f"{r['k']},{r['wall_seconds']:.6f},{r['samples_per_sec']:.3f},"
+            f"{r['speedup']:.4f},{r['efficiency']:.4f}" for r in self.rows]) + "\n"
 
 
 def _blas_single_threaded():
@@ -260,17 +314,6 @@ def _blas_single_threaded():
     except ImportError:
         import contextlib
         return contextlib.nullcontext()
-
-
-class _ReplayLoader:
-    """One fixed global batch, replayed counts[e] times in epoch e."""
-
-    def __init__(self, batch, counts):
-        self.batch = batch
-        self.counts = counts
-
-    def epoch(self, epoch_index):
-        return iter([self.batch] * self.counts[epoch_index])
 
 
 def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
@@ -304,8 +347,9 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
                 continue
             global_batch = n * k
             timed_steps = max(1, round(steps / k))
-            loader = _ReplayLoader(batch_factory(global_batch),
-                                   (warmup, timed_steps))
+            batch, counts = batch_factory(global_batch), (warmup, timed_steps)
+            # the one batch, replayed counts[e] times in epoch e
+            loader = SimpleNamespace(epoch=lambda e: iter([batch] * counts[e]))
             cfg = ParallelConfig(k=k, n=n, seed=seed)
             _, metrics = train_parallel(model_factory, opt_factory, loader,
                                         loss_fn, cfg, epochs=2)

@@ -56,10 +56,8 @@ def compound_scale(spec: ScalingSpec, base_input_size: int = 224) -> ScaledDims:
         warnings.warn(
             f"scaling bases miss alpha*beta^2*gamma^2 ~= {CONSTRAINT_TARGET} "
             f"(residual {spec.constraint_residual:.4f})", stacklevel=2)
-    depth = spec.alpha ** spec.phi
-    # width takes beta: like resolution, it enters cost squared
-    width = spec.beta ** spec.phi
     resolution = spec.gamma ** spec.phi
-    return ScaledDims(width_mult=width, depth_mult=depth,
-                      resolution_mult=resolution,
+    # width takes beta: like resolution, it enters cost squared
+    return ScaledDims(width_mult=spec.beta ** spec.phi,
+                      depth_mult=spec.alpha ** spec.phi, resolution_mult=resolution,
                       input_size=round_to_even(base_input_size * resolution))

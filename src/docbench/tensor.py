@@ -303,9 +303,7 @@ def _expand_reduced(g, shape, axis, keepdims):
     if axis is None:
         return np.broadcast_to(g, shape).copy()
     if not keepdims:
-        axes = sorted(_normalize_axes(axis, len(shape)))
-        for ax in axes:
-            g = np.expand_dims(g, ax)
+        g = np.expand_dims(g, tuple(sorted(_normalize_axes(axis, len(shape)))))
     return np.broadcast_to(g, shape).copy()
 
 

@@ -221,6 +221,18 @@ def test_gen_data_writes_manifest_and_corpus(work):
         assert os.path.exists(os.path.join(work["data"], entry["tokens"]))
 
 
+def test_run_json_records_its_environment(work):
+    env = read_manifest(work["data"])["environment"]
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert {"blas", "blas_version"} <= set(env)
+    assert env["cpu_count"] == os.cpu_count()
+    assert 1 <= env["affinity"] <= os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                MAX_WORKERS_ENV):
+        assert env[var] == os.environ.get(var)
+
+
 def tree_digest(root):
     import hashlib
     h = hashlib.sha256()
@@ -495,6 +507,14 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     ("gen-data", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ("train-text", ["--workers", "4"],
      "text.batch_size 6 not divisible by 4 workers"),
+    ("pretrain", ["--set", "image_model.in_channels=3"],
+     "image_model.in_channels 3 does not match the corpus's 1 image channel(s)"),
+    ("finetune", ["--set", "image_model.in_channels=3"],
+     "image_model.in_channels 3 does not match the corpus's 1 image channel(s)"),
+    ("bench-scaling", ["--set", "image_model.in_channels=2"],
+     "image_model.in_channels 2 does not match the corpus's 1 image channel(s)"),
+    ("ensemble-eval", ["--set", "image_model.in_channels=3"],
+     "image_model.in_channels 3 does not match the corpus's 1 image channel(s)"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,

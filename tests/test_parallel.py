@@ -1,10 +1,10 @@
-"""Ring all-reduce against a fixed-order summation oracle, the threaded
+"""Ring all-reduce against a fixed-order summation oracle, the process
 collective against ring_allreduce, multi-worker training equivalence,
 worker failures and non-finite gradients, and the scaling benchmark
 harness."""
 
 import collections
-import sys
+import os
 import threading
 import time
 
@@ -16,7 +16,7 @@ from helpers import FlatImageModel, ReplayLoader, flat_params
 from docbench.layers import Ctx
 from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import (CSV_HEADER, MAX_WORKERS_ENV, ParallelConfig,
-                               _Collective, _run_workers, eval_image_accuracy,
+                               _run_workers, eval_image_accuracy,
                                image_loss, measure_speedup, naive_allreduce,
                                ring_allreduce, train_parallel)
 
@@ -86,38 +86,30 @@ def run_watched(target, timeout=60):
     watcher.join(timeout)
     assert not watcher.is_alive(), "hung on a barrier"
     assert set(threading.enumerate()) == before, "worker threads left running"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no worker process is left, not even a zombie
     return outcome.get("error")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_collective_matches_ring_allreduce(k):
     """Back-to-back exchanges of changing lengths, some shorter than k, with
-    the last arrival rotating between workers and a short switch interval."""
+    the last arrival rotating between workers; each worker checks its own
+    results in its own process."""
     rng = np.random.default_rng(k)
     lengths = [1, k - 1, k, 37, 2, 101, 3]
     posted = [[rng.normal(size=m) for _ in range(k)] for m in lengths]
-    collective = _Collective(k)
-    got = [[None] * k for _ in lengths]
 
-    def body(w):
-        try:
-            for i, vectors in enumerate(posted):
-                if (w + i) % k == 0:
-                    time.sleep(0.002)
-                got[i][w] = collective.allreduce(w, vectors[w])
-        except BaseException:
-            collective.barrier.abort()
-            raise
+    def body(collective):
+        w = collective.w
+        for i, vectors in enumerate(posted):
+            if (w + i) % k == 0:
+                time.sleep(0.002)
+            mine = collective.allreduce(vectors[w])
+            if not np.array_equal(mine, ring_allreduce(vectors)[w]):
+                raise AssertionError(f"worker {w}, exchange {i}: {mine}")
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run_watched(lambda: _run_workers(k, body)) is None
-    finally:
-        sys.setswitchinterval(interval)
-    for vectors, results in zip(posted, got):
-        for mine, expect in zip(results, ring_allreduce(vectors)):
-            assert np.array_equal(mine, expect)
+    assert run_watched(lambda: _run_workers(k, max(lengths), body)) is None
 
 
 def test_parallel_config_validation():
@@ -191,13 +183,10 @@ def test_deterministic_reruns_are_bitwise_equal():
 
 
 def test_divergence_check_trips_on_unequal_replicas():
-    """A model factory that initializes differently per call breaks the
-    identical-replica precondition; debug mode must catch it."""
-    calls = []
-
+    """A model factory that initializes differently per worker process
+    breaks the identical-replica precondition; debug mode must catch it."""
     def bad_factory():
-        calls.append(None)
-        return FlatImageModel(36, 3, seed=len(calls))
+        return FlatImageModel(36, 3, seed=os.getpid())
 
     loader = make_problem(8)
     with pytest.raises(RuntimeError, match="divergence"):
@@ -282,6 +271,36 @@ def test_eval_error_on_worker_zero_surfaces():
 
     error = train_in_thread(loss_fn=image_loss, eval_fn=eval_fn)
     assert isinstance(error, Boom) and str(error) == "eval"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dead_worker_raises_naming_it_and_its_status(k):
+    calls = collections.Counter()
+
+    def loss_fn(net, shard, ctx):
+        # each process counts its own calls; worker 1 dies at epoch 1, step 1
+        calls[shard[0][0, 0]] += 1
+        if shard[0][0, 0] == 1 and calls[1] == 5:
+            os._exit(3)
+        return image_loss(net, shard, ctx)
+
+    error = train_in_thread(k=k, loss_fn=loss_fn)
+    assert isinstance(error, RuntimeError)
+    assert str(error) == "worker 1 exited with status 3"
+
+
+def test_unpicklable_worker_error_keeps_its_type_and_message():
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def loss_fn(net, shard, ctx):
+        if shard[0][0, 0] == 1:
+            raise LocalError("not picklable")
+        return image_loss(net, shard, ctx)
+
+    error = train_in_thread(k=2, loss_fn=loss_fn)
+    assert isinstance(error, RuntimeError)
+    assert str(error) == "worker 1: LocalError: not picklable"
 
 
 @pytest.mark.parametrize("k", [1, 2])
