@@ -21,17 +21,16 @@ import numpy as np
 from . import __version__, ops
 from .config import Config, ConfigError
 from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
-                   generate_corpus, load_corpus, make_splits, resize,
-                   save_corpus)
+                   generate_corpus, load_corpus, make_splits, save_corpus)
 from .efficientnet import BASE_STAGES, StageSpec, build_efficientnet
 from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
                        predict_classes, report_csv)
 from .layers import Network
 from .optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig, SgdConfig,
                     SgdOptimizer, StlrConfig, group_lrs, reference_lr, stlr_lr)
-from .parallel import (MAX_WORKERS_ENV, ParallelConfig, eval_image_accuracy,
-                       eval_text_accuracy, image_loss, measure_speedup, predict,
-                       text_loss, train_parallel)
+from .parallel import (ParallelConfig, eval_image_accuracy, eval_text_accuracy,
+                       image_loss, measure_speedup, predict, text_loss,
+                       train_parallel)
 from .scaling import ScaledDims, ScalingSpec, compound_scale
 from .tensor import Tensor
 from .text_encoder import TextEncoderSpec, build_text_encoder
@@ -79,29 +78,19 @@ def _scaled_dims(cfg: Config) -> ScaledDims:
     return dims
 
 
-def _build_image_net(cfg: Config, num_classes: int, seed: int):
+def _build_image_net(cfg: Config, corpus: Corpus, seed: int):
+    """The configured image model for the corpus's classes and image channels."""
     dims = _scaled_dims(cfg)
     dropout = cfg.getfloat("image_model", "dropout")
     if not 0.0 <= dropout < 1.0:
         raise ConfigError(f"image_model.dropout must be in [0, 1), got {dropout}")
     return build_efficientnet(
-        _stage_specs(cfg), dims, num_classes,
-        in_channels=cfg.getint("image_model", "in_channels"),
+        _stage_specs(cfg), dims, corpus.num_classes,
+        in_channels=corpus.documents[0].image.shape[0],
         seed=seed,
         dropout_rate=dropout,
         stem_channels=cfg.getint("image_model", "stem_channels"),
         head_channels=cfg.getint("image_model", "head_channels"))
-
-
-def _image_corpus(args, cfg: Config) -> Corpus:
-    """The --data corpus, once image_model.in_channels matches its images."""
-    corpus = load_corpus(args.data)
-    channels = cfg.getint("image_model", "in_channels")
-    have = corpus.documents[0].image.shape[0]
-    if channels != have:
-        raise ConfigError(f"image_model.in_channels {channels} does not match "
-                          f"the corpus's {have} image channel(s)")
-    return corpus
 
 
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
@@ -142,7 +131,7 @@ def _environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
-            **{var: os.environ.get(var) for var in (*BLAS_THREAD_VARS, MAX_WORKERS_ENV)}}
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
@@ -217,7 +206,7 @@ def _train_image(args, cfg: Config, section: str, initial=None,
     started = time.time()
     epochs = cfg.getint(section, "epochs", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
-    corpus = _image_corpus(args, cfg)
+    corpus = load_corpus(args.data)
     index = cfg.getint(section, "split_index", minimum=0)
     plan = _splits(cfg, section, corpus, index + 1, args.seed)[index]
     dims = _scaled_dims(cfg)
@@ -236,7 +225,7 @@ def _train_image(args, cfg: Config, section: str, initial=None,
     sgd = cfg.build(SgdConfig, section)
 
     def model_factory():
-        net = _build_image_net(cfg, corpus.num_classes, args.seed)
+        net = _build_image_net(cfg, corpus, args.seed)
         if initial is not None:
             initial(net)
         return net
@@ -336,9 +325,9 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     step = cfg.getfloat("ensemble", "grid_step")
     if use_grid and not 0.0 < step <= 1.0:
         raise ConfigError(f"ensemble.grid_step must be in (0, 1], got {step}")
-    corpus = _image_corpus(args, cfg)
+    corpus = load_corpus(args.data)
 
-    image_net = _build_image_net(cfg, corpus.num_classes, args.seed)
+    image_net = _build_image_net(cfg, corpus, args.seed)
     image_net.load(args.image_checkpoint)
     text_net = _build_text_net(cfg, corpus, args.seed)
     text_net.load(args.text_checkpoint)
@@ -402,27 +391,26 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     warmup = cfg.getint("bench", "warmup", minimum=0)
     n = args.batch_per_worker if args.batch_per_worker_given \
         else cfg.getint("bench", "batch_per_worker", minimum=1)
+    source = "--k-list" if args.k_list else "bench.k_list"
     k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
     if not k_list:
         raise ConfigError("bench.k_list must list at least one worker count")
-    corpus = _image_corpus(args, cfg)
+    if min(k_list) < 1:
+        raise ConfigError(f"{source} must be >= 1, got {min(k_list)}")
+    if k_list[0] != 1:  # speedup and efficiency are taken against k=1
+        raise ConfigError(f"{source} must start with 1, got {k_list}")
+    corpus = load_corpus(args.data)
     dims = _scaled_dims(cfg)
 
-    images = np.stack([
-        d.image if d.image.shape[-1] == dims.input_size
-        else resize(d.image, dims.input_size)
-        for d in corpus.documents])
-    labels = corpus.labels()
-
     def batch_factory(global_size: int):
-        idx = np.arange(global_size) % len(corpus)
-        return images[idx], labels[idx]
+        return next(ImageLoader(corpus, np.arange(global_size) % len(corpus),
+                                global_size, dims.input_size, seed=args.seed).epoch(0))
 
     def opt_factory(net):
         return SgdOptimizer(net, 0.01, SgdConfig())
 
     report = measure_speedup(
-        lambda: _build_image_net(cfg, corpus.num_classes, args.seed),
+        lambda: _build_image_net(cfg, corpus, args.seed),
         opt_factory, batch_factory, image_loss, k_list, n,
         steps=steps, warmup=warmup, seed=args.seed)
 

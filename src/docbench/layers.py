@@ -399,25 +399,16 @@ class Network(Layer):
         save_tensors(path, self.state_arrays(), meta)
 
     def load_state(self, arrays, skip_groups=()):
-        def skipped(path):
-            return any(path == g or path.startswith(g + ".") for g in skip_groups)
-
-        for name, p in self.named_params():
-            if skipped(name):
+        """Copy each parameter and buffer outside skip_groups from arrays."""
+        for name, value in self.state_arrays().items():
+            if any(name == g or name.startswith(g + ".") for g in skip_groups):
                 continue
             if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name!r}")
-            arr = arrays[name]
-            if tuple(arr.shape) != p.shape:
-                raise ShapeError(
-                    f"{name}: checkpoint shape {tuple(arr.shape)} != model {p.shape}")
-            p.data[...] = arr
-        for name, b in self.named_buffers():
-            if skipped(name):
-                continue
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing buffer {name!r}")
-            b[...] = arrays[name]
+                raise KeyError(f"checkpoint missing tensor {name!r}")
+            if arrays[name].shape != value.shape:
+                raise ShapeError(f"{name}: checkpoint shape {arrays[name].shape} "
+                                 f"!= model {value.shape}")
+            value[...] = arrays[name]
 
     def checkpoint_meta(self):
         """Meta keys a checkpoint of this network records and must match."""

@@ -1,7 +1,8 @@
 """Synchronous data-parallel training across k worker processes.
 
-Worker 0 is the calling process; workers 1..k-1 are forked from it.  Each
-worker owns a full model replica and a disjoint shard of every global batch.
+Worker 0 is the calling process: it builds the one model replica and its
+optimizer, then forks workers 1..k-1, which start from copies of both.  Each
+worker owns its replica and a disjoint shard of every global batch.
 Per step the shard-mean gradients are summed by ``ring_allreduce`` (k
 chunks, k-1 scatter-reduce phases then k-1 all-gather phases): every worker
 writes its optimizer's gradient buffer, with the loss in its last slot, into
@@ -18,7 +19,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -27,7 +27,6 @@ import numpy as np
 from .layers import Ctx
 from .ops import softmax_crossentropy
 
-MAX_WORKERS_ENV = "DOCBENCH_MAX_WORKERS"
 CSV_HEADER = "k,wall_seconds,samples_per_sec,speedup,efficiency"
 
 
@@ -208,11 +207,12 @@ def _logits(net, inputs, ctx):
 def train_parallel(model_factory, opt_factory, loader, loss_fn,
                    cfg: ParallelConfig, epochs: int, eval_fn=None,
                    debug: bool = False):
-    """Train k identically-initialized replicas in lockstep.
+    """Train k identical replicas in lockstep.
 
-    model_factory must be pure (identical replicas); loader yields global
-    batches of k*n samples as (*inputs, labels) arrays with a leading sample
-    axis; loss_fn maps (net, shard, ctx) to the shard-mean loss Tensor.
+    model_factory() and opt_factory(net) run once, in the caller; the forked
+    workers start from copies of that replica and optimizer.  loader yields
+    global batches of k*n samples as (*inputs, labels) arrays with a leading
+    sample axis; loss_fn maps (net, shard, ctx) to the shard-mean loss Tensor.
     Shard-mean gradients are all-reduced and divided by k, i.e. the update
     uses the gradient mean over the whole global batch.  Returns (worker-0
     replica, per-epoch metrics rows); a row's `seconds` is worker 0's wall
@@ -225,10 +225,10 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         net = model_factory()
         opt = opt_factory(net)
+        buffers = [b for _, b in net.named_buffers()]
 
-        def run(collective, net, opt):
+        def run(collective):
             w = collective.w if collective else 0
-            buffers = [b for _, b in net.named_buffers()]
             ctx = Ctx(training=True,
                       rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, w])))
             metrics = []
@@ -280,17 +280,10 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
             return metrics
 
         if k == 1:
-            return net, run(None, net, opt)
-
-        def worker(collective):
-            if collective.w:  # each forked worker builds its own replica
-                replica = model_factory()
-                return run(collective, replica, opt_factory(replica))
-            return run(collective, net, opt)
-
+            return net, run(None)
         # opt.grads is one longer than opt.params, which debug exchanges
-        size = max(opt.grads.size, sum(b.size for _, b in net.named_buffers()))
-        return net, _run_workers(k, size, worker)
+        size = max(opt.grads.size, sum(b.size for b in buffers))
+        return net, _run_workers(k, size, run)
 
 
 # -- scaling benchmark -------------------------------------------------------------
@@ -326,25 +319,15 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
     Each worker holds n samples, so the global batch is n*k and the timed
     steps shrink to round(steps / k), at least 1.  Each k trains two
     train_parallel epochs, `warmup` steps then the timed ones, and the
-    second epoch's `seconds` is the wall time.  Speedup is the throughput
-    ratio against k=1, so S(1)=1 by construction.
+    second epoch's `seconds` is the wall time.  k_list starts with 1, and
+    speedup is the throughput ratio against k=1, so S(1)=1 by construction.
     """
-    if not k_list or min(k_list) < 1:
-        raise ValueError(f"k_list must be nonempty with every k >= 1, got {k_list}")
-    raw_cap = os.environ.get(MAX_WORKERS_ENV, "0")
-    try:
-        cap = int(raw_cap) or None
-    except ValueError:
+    if not k_list or k_list[0] != 1 or min(k_list) < 1:
         raise ValueError(
-            f"{MAX_WORKERS_ENV} must be an integer, got {raw_cap!r}") from None
+            f"k_list must start with 1 and have every k >= 1, got {k_list}")
     rows = []
-    base_sps = None
     with _blas_single_threaded():
         for k in k_list:
-            if cap is not None and k > cap:
-                warnings.warn(f"k={k} exceeds {MAX_WORKERS_ENV}={cap}; skipped",
-                              stacklevel=2)
-                continue
             global_batch = n * k
             timed_steps = max(1, round(steps / k))
             batch, counts = batch_factory(global_batch), (warmup, timed_steps)
@@ -355,9 +338,7 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
                                         loss_fn, cfg, epochs=2)
             wall = metrics[1]["seconds"]
             sps = timed_steps * global_batch / wall if wall > 0 else float("inf")
-            if base_sps is None:
-                base_sps = sps
-            speedup = sps / base_sps
+            speedup = sps / rows[0]["samples_per_sec"] if rows else 1.0
             rows.append({"k": k, "wall_seconds": wall, "samples_per_sec": sps,
                          "speedup": speedup, "efficiency": speedup / k})
     return SpeedupReport(rows)

@@ -416,3 +416,30 @@ def test_checkpoint_shape_mismatch(tmp_path):
     with pytest.raises(ShapeError):
         bigger.load(path)
     assert bigger.load(path, skip_groups=("head",)) is not None
+
+
+def save_edited_state(tmp_path, edit):
+    """Save micro_net's state after edit(arrays); return the file's path."""
+    from docbench.tensor import save_tensors
+    arrays = {name: a.copy() for name, a in micro_net().state_arrays().items()}
+    edit(arrays)
+    path = str(tmp_path / "edited.tensors")
+    save_tensors(path, arrays, {})
+    return path
+
+
+def test_checkpoint_buffer_shape_mismatch_names_it(tmp_path):
+    from docbench.tensor import ShapeError
+    path = save_edited_state(tmp_path, lambda a: a.update(
+        {"stem.1.running_mean": np.full(1, 7.0)}))
+    net = micro_net()
+    with pytest.raises(ShapeError, match=r"^stem\.1\.running_mean: checkpoint "
+                                         r"shape \(1,\) != model \(8,\)$"):
+        net.load(path)
+    assert not np.any(dict(net.named_buffers())["stem.1.running_mean"] == 7.0)
+
+
+def test_checkpoint_missing_buffer_names_it(tmp_path):
+    path = save_edited_state(tmp_path, lambda a: a.pop("stem.1.running_var"))
+    with pytest.raises(KeyError, match="stem.1.running_var"):
+        micro_net().load(path)

@@ -15,10 +15,9 @@ from helpers import FlatImageModel, ReplayLoader, flat_params
 
 from docbench.layers import Ctx
 from docbench.optim import SgdConfig, SgdOptimizer
-from docbench.parallel import (CSV_HEADER, MAX_WORKERS_ENV, ParallelConfig,
-                               _run_workers, eval_image_accuracy,
-                               image_loss, measure_speedup, naive_allreduce,
-                               ring_allreduce, train_parallel)
+from docbench.parallel import (CSV_HEADER, ParallelConfig, _run_workers,
+                               eval_image_accuracy, image_loss, measure_speedup,
+                               naive_allreduce, ring_allreduce, train_parallel)
 
 
 # -- all-reduce oracle ---------------------------------------------------------------
@@ -182,17 +181,42 @@ def test_deterministic_reruns_are_bitwise_equal():
     np.testing.assert_array_equal(flat_params(a), flat_params(b))
 
 
+def test_factories_run_once_in_the_caller():
+    """Forked workers start from copies of worker 0's replica and optimizer,
+    so each factory runs once, in the calling process."""
+    read_fd, write_fd = os.pipe()
+
+    def record(kind, made):
+        os.write(write_fd, f"{kind} {os.getpid()}\n".encode())
+        return made
+
+    with os.fdopen(read_fd) as fh:
+        try:
+            train_parallel(lambda: record("model", FlatImageModel(36, 3, seed=1)),
+                           lambda net: record("opt", SgdOptimizer(net, 0.05, SgdConfig())),
+                           make_problem(6, steps=2), image_loss,
+                           ParallelConfig(k=3, n=2, seed=0), 2)
+        finally:
+            os.close(write_fd)
+        assert fh.read().splitlines() == [f"model {os.getpid()}", f"opt {os.getpid()}"]
+
+
 def test_divergence_check_trips_on_unequal_replicas():
-    """A model factory that initializes differently per worker process
-    breaks the identical-replica precondition; debug mode must catch it."""
-    def bad_factory():
-        return FlatImageModel(36, 3, seed=os.getpid())
+    """A forked worker that moves its own replica's parameters breaks the
+    identical-replica invariant; debug mode must catch it."""
+    caller = os.getpid()
+
+    def loss_fn(net, shard, ctx):
+        if os.getpid() != caller:
+            _, param = next(iter(net.named_params()))
+            param.data += 1e-3
+        return image_loss(net, shard, ctx)
 
     loader = make_problem(8)
-    with pytest.raises(RuntimeError, match="divergence"):
-        train_parallel(bad_factory,
+    with pytest.raises(RuntimeError, match="replica divergence"):
+        train_parallel(lambda: FlatImageModel(36, 3, seed=1),
                        lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
-                       loader, image_loss,
+                       loader, loss_fn,
                        ParallelConfig(k=2, n=4, seed=0), 1, debug=True)
 
 
@@ -357,19 +381,8 @@ def test_speedup_csv_schema():
     assert len(lines) == 2
 
 
-def test_worker_cap_skips_large_k(monkeypatch):
-    monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-    with pytest.warns(UserWarning, match="exceeds"):
-        report = measure_speedup(
-            lambda: FlatImageModel(36, 3, seed=1),
-            lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
-            bench_problem(), image_loss, [1, 2], n=4, steps=2, warmup=0)
-    assert [r["k"] for r in report.rows] == [1]
-
-
 @pytest.mark.parametrize("warmup", [0, 1])
-def test_speedup_at_two_workers(monkeypatch, warmup):
-    monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+def test_speedup_at_two_workers(warmup):
     report = measure_speedup(
         lambda: FlatImageModel(36, 3, seed=1),
         lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
@@ -389,3 +402,7 @@ def test_speedup_input_validation():
         measure_speedup(lambda: FlatImageModel(36, 3, seed=1),
                         lambda net: SgdOptimizer(net, 0.05, SgdConfig()),
                         factory, image_loss, [1, 0], n=4, steps=2)
+    with pytest.raises(ValueError, match=r"must start with 1 .*got \[2, 3\]"):
+        # speedup and efficiency are taken against k=1
+        measure_speedup(lambda: None, lambda n: None, factory, image_loss,
+                        [2, 3], n=4, steps=2)

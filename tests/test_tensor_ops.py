@@ -283,7 +283,7 @@ class TestBackward:
         cfg = Config.load()
         corpus = generate_corpus(cli._corpus_spec(cfg), seed=0)
         if model == "image":
-            net = cli._build_image_net(cfg, corpus.num_classes, seed=0)
+            net = cli._build_image_net(cfg, corpus, seed=0)
             loader = ImageLoader(corpus, list(range(8)), 8, image_size=32)
         else:
             net = cli._build_text_net(cfg, corpus, seed=0)
