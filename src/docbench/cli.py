@@ -161,9 +161,9 @@ def _ensure_out(path: str) -> str:
 
 
 def _write_training(command: str, args, cfg: Config, started: float, net,
-                    metrics, meta, extra=None) -> int:
-    """Checkpoint, metrics.csv and run.json of a training command, then its
-    closing line."""
+                    metrics, meta=None, extra=None) -> int:
+    """Checkpoint (with ``meta`` beside the network's own), metrics.csv and
+    run.json of a training command, then its closing line."""
     out = _ensure_out(args.out)
     ckpt = os.path.join(out, "checkpoint.tensors")
     net.save(ckpt, extra_meta=meta)
@@ -240,8 +240,7 @@ def _train_image(args, cfg: Config, section: str, initial=None,
         model_factory, opt_factory, train_loader, image_loss,
         ParallelConfig(args.workers, n, args.seed), epochs,
         eval_fn=lambda m: eval_image_accuracy(m, val_loader))
-    return _write_training(section, args, cfg, started, net, metrics,
-                           net.checkpoint_meta(), extra)
+    return _write_training(section, args, cfg, started, net, metrics, extra=extra)
 
 
 def cmd_pretrain(args, cfg: Config) -> int:
@@ -303,8 +302,7 @@ def cmd_train_text(args, cfg: Config) -> int:
         train_loader, text_loss, ParallelConfig(args.workers, n, args.seed),
         epochs, eval_fn=lambda m: eval_text_accuracy(m, val_loader))
     return _write_training("train-text", args, cfg, started, net, metrics,
-                           {**net.checkpoint_meta(),
-                            "vocab_size": corpus.spec.vocab_size},
+                           {"vocab_size": corpus.spec.vocab_size},
                            {"batch_size": global_batch})
 
 
@@ -326,13 +324,18 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     if use_grid and not 0.0 < step <= 1.0:
         raise ConfigError(f"ensemble.grid_step must be in (0, 1], got {step}")
     corpus = load_corpus(args.data)
+    plans = _splits(cfg, "splits", corpus, n_splits, args.seed)
+    if not plans[0].test:  # every plan has the same sizes
+        raise ConfigError(f"splits.per_class_quota puts all {len(corpus)} "
+                          f"documents in train and val, leaving no test documents")
+    if use_grid and not plans[0].val:
+        raise ConfigError("splits.val_size must be >= 1 for ensemble.grid_search")
 
     image_net = _build_image_net(cfg, corpus, args.seed)
     image_net.load(args.image_checkpoint)
     text_net = _build_text_net(cfg, corpus, args.seed)
     text_net.load(args.text_checkpoint)
 
-    plans = _splits(cfg, "splits", corpus, n_splits, args.seed)
     max_len = _text_max_len(cfg, corpus)
     dims = _scaled_dims(cfg)
     fixed = cfg.build(FusionWeights, "ensemble")

@@ -14,20 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (Activation, BatchNorm2d, Conv2d, Dropout, GlobalAvgPool,
-                     ImageNetwork, Linear, MBConv, Sequential, count_params)
-from .ops import conv_output_dims
+                     ImageNetwork, Linear, MBConv, Sequential)
 from .scaling import ScaledDims
 
 __all__ = ["StageSpec", "BASE_STAGES", "STEM_CHANNELS", "HEAD_CHANNELS",
-           "round_channels", "round_repeats", "build_efficientnet",
-           "count_params"]
+           "round_channels", "round_repeats", "build_efficientnet"]
 
 CHANNEL_DIVISOR = 8
 
 
 @dataclass(frozen=True)
 class StageSpec:
-    kind: str               # "conv" or "mbconv"
+    kind: str               # always "mbconv", the only block type
     kernel: int
     base_channels: int
     repeats: int
@@ -36,8 +34,8 @@ class StageSpec:
     se_ratio: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("conv", "mbconv"):
-            raise ValueError(f"stage kind must be conv|mbconv, got {self.kind!r}")
+        if self.kind != "mbconv":
+            raise ValueError(f"stage kind must be mbconv, got {self.kind!r}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.stride not in (1, 2):
@@ -86,9 +84,9 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
                        head_channels: int = HEAD_CHANNELS) -> ImageNetwork:
     """Assemble stem -> scaled stages -> 1x1 head conv -> pooled classifier.
 
-    Spatial extents are tracked stage by stage; shape-preserving padding
-    ceil-halves them per stride-2 block, so they bottom out at 1x1 and any
-    input of at least 2 pixels builds a runnable graph.
+    Same padding ceil-halves the spatial extents per stride-2 block, so they
+    bottom out at 1x1 and any input of at least 2 pixels builds a runnable
+    graph.
     """
     stages = list(stages)
     if not stages:
@@ -96,34 +94,24 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     rng = np.random.default_rng(seed)
-    net = ImageNetwork(dims.input_size, num_classes, in_channels)
+    net = ImageNetwork(dims.input_size, num_classes)
 
     ch = round_channels(stem_channels, dims.width_mult)
     net.add_group("stem", Sequential(
-        Conv2d(in_channels, ch, 3, stride=2, bias=False, rng=rng),
-        BatchNorm2d(ch), Activation()))
-    h, w = conv_output_dims(dims.input_size, dims.input_size, 3, 2, "same")
+        Conv2d(in_channels, ch, 3, rng, stride=2), BatchNorm2d(ch), Activation()))
 
     for i, st in enumerate(stages, start=1):
         out_ch = round_channels(st.base_channels, dims.width_mult)
         blocks = []
         for j in range(round_repeats(st.repeats, dims.depth_mult)):
-            stride = st.stride if j == 0 else 1
-            if st.kind == "mbconv":
-                blocks.append(MBConv(ch, out_ch, st.expansion, st.kernel,
-                                     stride, st.se_ratio, rng))
-            else:
-                blocks.append(Sequential(
-                    Conv2d(ch, out_ch, st.kernel, stride=stride, bias=False, rng=rng),
-                    BatchNorm2d(out_ch), Activation()))
+            blocks.append(MBConv(ch, out_ch, st.expansion, st.kernel,
+                                 st.stride if j == 0 else 1, st.se_ratio, rng))
             ch = out_ch
-            h, w = conv_output_dims(h, w, st.kernel, stride, "same")
         net.add_group(f"stage{i}", Sequential(*blocks))
 
     head_ch = round_channels(head_channels, dims.width_mult)
     net.add_group("head_conv", Sequential(
-        Conv2d(ch, head_ch, 1, bias=False, rng=rng),
-        BatchNorm2d(head_ch), Activation()))
+        Conv2d(ch, head_ch, 1, rng), BatchNorm2d(head_ch), Activation()))
     net.add_group("head", Sequential(
         GlobalAvgPool(), Dropout(dropout_rate),
         Linear(head_ch, num_classes, rng)))

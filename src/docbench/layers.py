@@ -87,12 +87,6 @@ class Sequential(Layer):
         self._children[str(len(self._items))] = layer
         self._items.append(layer)
 
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
     def __call__(self, x, ctx: Ctx):
         for layer in self._items:
             x = layer(x, ctx)
@@ -118,53 +112,44 @@ class Dropout(Layer):
 class Linear(Layer):
     """Affine map ``x @ W + b`` acting on the last axis."""
 
-    def __init__(self, in_features, out_features, rng=None, bias=True, std=None):
+    def __init__(self, in_features, out_features, rng, std=None):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng()
         if std is None:
             std = float(np.sqrt(2.0 / in_features))
         self.weight = Tensor(rng.standard_normal((in_features, out_features)) * std,
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x, ctx):
-        out = x @ self.weight
-        return out + self.bias if self.bias is not None else out
+        return x @ self.weight + self.bias
 
 
 class Conv2d(Layer):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=ops.SAME,
-                 bias=True, rng=None):
+    """Same-padded, bias-free convolution; batch norm supplies the shift."""
+
+    def __init__(self, in_ch, out_ch, kernel, rng, stride=1):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng()
         std = float(np.sqrt(2.0 / (in_ch * kernel * kernel)))
         self.weight = Tensor(
             rng.standard_normal((out_ch, in_ch, kernel, kernel)) * std,
             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
         self.stride = stride
-        self.padding = padding
 
     def __call__(self, x, ctx):
-        return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ops.conv2d(x, self.weight, self.stride)
 
 
 class DepthwiseConv2d(Layer):
-    def __init__(self, channels, kernel, stride=1, padding=ops.SAME, rng=None):
+    def __init__(self, channels, kernel, rng, stride=1):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng()
         std = float(np.sqrt(2.0 / (kernel * kernel)))
         self.weight = Tensor(
             rng.standard_normal((channels, 1, kernel, kernel)) * std,
             requires_grad=True)
         self.stride = stride
-        self.padding = padding
 
     def __call__(self, x, ctx):
-        return ops.depthwise_conv2d(x, self.weight, self.stride, self.padding)
+        return ops.depthwise_conv2d(x, self.weight, self.stride)
 
 
 class BatchNorm2d(Layer):
@@ -214,7 +199,7 @@ class SqueezeExcite(Layer):
     """Channel gate: globally pooled features squeezed to ``reduced`` then
     expanded back to per-channel sigmoid scales."""
 
-    def __init__(self, channels, reduced, rng=None):
+    def __init__(self, channels, reduced, rng):
         super().__init__()
         self.reduce = Linear(channels, reduced, rng)
         self.act = Activation()
@@ -230,8 +215,7 @@ class MBConv(Layer):
     """Inverted bottleneck: 1x1 expand, depthwise conv, channel excitation,
     1x1 project; identity shortcut when stride is 1 and channels match."""
 
-    def __init__(self, in_ch, out_ch, expansion, kernel, stride, se_ratio,
-                 rng=None):
+    def __init__(self, in_ch, out_ch, expansion, kernel, stride, se_ratio, rng):
         super().__init__()
         if in_ch <= 0 or out_ch <= 0:
             raise ValueError(f"channel counts must be positive, got {in_ch} -> {out_ch}")
@@ -240,15 +224,15 @@ class MBConv(Layer):
         mid = in_ch * expansion
         self.use_residual = stride == 1 and in_ch == out_ch
         if expansion != 1:
-            self.expand_conv = Conv2d(in_ch, mid, 1, bias=False, rng=rng)
+            self.expand_conv = Conv2d(in_ch, mid, 1, rng)
             self.expand_bn = BatchNorm2d(mid)
-        self.dw = DepthwiseConv2d(mid, kernel, stride=stride, rng=rng)
+        self.dw = DepthwiseConv2d(mid, kernel, rng, stride)
         self.dw_bn = BatchNorm2d(mid)
         if se_ratio > 0:
             # reduction is computed from the block input width, not the
             # expanded width
             self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng)
-        self.project_conv = Conv2d(mid, out_ch, 1, bias=False, rng=rng)
+        self.project_conv = Conv2d(mid, out_ch, 1, rng)
         self.project_bn = BatchNorm2d(out_ch)
         self.act = Activation()
 
@@ -264,7 +248,7 @@ class MBConv(Layer):
 
 
 class MultiHeadSelfAttention(Layer):
-    def __init__(self, hidden, heads, dropout_rate, rng=None):
+    def __init__(self, hidden, heads, dropout_rate, rng):
         super().__init__()
         if hidden % heads:
             raise ValueError(f"hidden {hidden} not divisible by {heads} heads")
@@ -284,9 +268,7 @@ class MultiHeadSelfAttention(Layer):
         q = self._split(self.q(x, ctx), b, n)
         k = self._split(self.k(x, ctx), b, n)
         v = self._split(self.v(x, ctx), b, n)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if bias is not None:
-            scores = scores + bias
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim)) + bias
         probs = ops.softmax(scores, axis=-1)
         probs = ops.dropout(probs, self.rate, ctx.rng, ctx.training and not self.frozen)
         merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, hidden)
@@ -297,7 +279,7 @@ class TransformerBlock(Layer):
     """Post-norm encoder block: self-attention and feed-forward sublayers,
     each wrapped in dropout + residual + layer norm."""
 
-    def __init__(self, hidden, heads, dropout_rate, rng=None):
+    def __init__(self, hidden, heads, dropout_rate, rng):
         super().__init__()
         self.attn = MultiHeadSelfAttention(hidden, heads, dropout_rate, rng)
         self.norm1 = LayerNorm(hidden)
@@ -321,10 +303,8 @@ class TransformerBlock(Layer):
 class TokenEmbedding(Layer):
     """Token plus learned positional embeddings, normalized and dropped out."""
 
-    def __init__(self, vocab_size, max_len, hidden, dropout_rate, rng=None):
+    def __init__(self, vocab_size, max_len, hidden, dropout_rate, rng):
         super().__init__()
-        if rng is None:
-            rng = np.random.default_rng()
         self.tokens = Tensor(rng.standard_normal((vocab_size, hidden)) * 0.02,
                              requires_grad=True)
         self.positions = Tensor(rng.standard_normal((max_len, hidden)) * 0.02,
@@ -391,50 +371,48 @@ class Network(Layer):
         return {**{name: p.data for name, p in self.named_params()},
                 **dict(self.named_buffers())}
 
-    def save(self, path, extra_meta=None):
-        meta = {"kind": "network-state", "groups": self._group_order,
-                "buffers": [n for n, _ in self.named_buffers()]}
-        if extra_meta:
-            meta.update(extra_meta)
-        save_tensors(path, self.state_arrays(), meta)
-
-    def load_state(self, arrays, skip_groups=()):
-        """Copy each parameter and buffer outside skip_groups from arrays."""
-        for name, value in self.state_arrays().items():
-            if any(name == g or name.startswith(g + ".") for g in skip_groups):
-                continue
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing tensor {name!r}")
-            if arrays[name].shape != value.shape:
-                raise ShapeError(f"{name}: checkpoint shape {arrays[name].shape} "
-                                 f"!= model {value.shape}")
-            value[...] = arrays[name]
-
     def checkpoint_meta(self):
         """Meta keys a checkpoint of this network records and must match."""
         return {}
 
+    def save(self, path, extra_meta=None):
+        meta = {"kind": "network-state", "groups": self._group_order,
+                "buffers": [n for n, _ in self.named_buffers()],
+                **self.checkpoint_meta(), **(extra_meta or {})}
+        save_tensors(path, self.state_arrays(), meta)
+
     def load(self, path, skip_groups=()):
-        """Load a checkpoint after checking its meta against this network;
-        ``num_classes`` is not compared when the head is skipped."""
+        """Copy each parameter and buffer outside ``skip_groups`` from a
+        checkpoint whose meta matches this network; ``num_classes`` is not
+        compared when the head is skipped.  Every failure names ``path``."""
         arrays, meta = load_tensors(path)
+        if (meta or {}).get("kind") != "network-state":
+            raise ValueError(f"{path}: not a network checkpoint")
         for key, want in self.checkpoint_meta().items():
-            have = (meta or {}).get(key, want)
-            if have != want and not (key == "num_classes" and "head" in skip_groups):
-                raise ValueError(f"{path}: checkpoint {key} is {have!r}, "
+            if key not in meta:
+                raise ValueError(f"{path}: checkpoint records no {key}")
+            if meta[key] != want and not (key == "num_classes" and "head" in skip_groups):
+                raise ValueError(f"{path}: checkpoint {key} is {meta[key]!r}, "
                                  f"this network needs {want!r}")
-        self.load_state(arrays, skip_groups)
+        for name, value in self.state_arrays().items():
+            if any(name == g or name.startswith(g + ".") for g in skip_groups):
+                continue
+            if name not in arrays:
+                raise ValueError(f"{path}: checkpoint missing tensor {name!r}")
+            if arrays[name].shape != value.shape:
+                raise ShapeError(f"{path}: {name}: checkpoint shape "
+                                 f"{arrays[name].shape} != model {value.shape}")
+            value[...] = arrays[name]
         return meta
 
 
 class ImageNetwork(Network):
     """Convolutional classifier; groups run in insertion order."""
 
-    def __init__(self, input_size: int, num_classes: int, in_channels: int = 3):
+    def __init__(self, input_size: int, num_classes: int):
         super().__init__()
         self.input_size = input_size
         self.num_classes = num_classes
-        self.in_channels = in_channels
 
     def checkpoint_meta(self):
         return {"model": "image", "num_classes": self.num_classes,
@@ -455,32 +433,25 @@ class TextNetwork(Network):
     """Transformer classifier over token ids; reads the position-0 hidden
     state as the sequence representation."""
 
-    def __init__(self, num_classes: int, pad_id: int = 0):
+    def __init__(self, num_classes: int):
         super().__init__()
         self.num_classes = num_classes
-        self.pad_id = pad_id
 
     def checkpoint_meta(self):
         return {"model": "text", "num_classes": self.num_classes,
                 "max_len": self.group("embedding").max_len}
 
-    def attention_bias(self, ids, mask=None):
-        ids = np.asarray(ids)
-        if mask is None:
-            mask = ids != self.pad_id
+    def logits(self, ids, ctx: Ctx, mask):
         mask = np.asarray(mask, dtype=np.float64)
         bias = (mask - 1.0) * 1e9  # -1e9 on padding, 0 on real tokens
-        return Tensor(bias.reshape(bias.shape[0], 1, 1, bias.shape[1]))
-
-    def logits(self, ids, ctx: Ctx, mask=None):
-        bias = self.attention_bias(ids, mask)
+        bias = Tensor(bias.reshape(bias.shape[0], 1, 1, bias.shape[1]))
         x = self.group("embedding")(ids, ctx)
         for name in self._group_order:
             if name.startswith("layer_"):
                 x = self.group(name)(x, bias, ctx)
         return self.group("head")(x[:, 0], ctx)
 
-    def __call__(self, ids, ctx: Ctx, mask=None):
+    def __call__(self, ids, ctx: Ctx, mask):
         return ops.softmax(self.logits(ids, ctx, mask), axis=-1)
 
 

@@ -12,40 +12,29 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
 
-VALID = "valid"
-SAME = "same"
-
 
 def _check_4d(t, what):
     if t.ndim != 4:
         raise ShapeError(f"{what} must be 4-D (N,C,H,W), got shape {t.shape}")
 
 
-def _pad_amounts(extent, field, stride, padding):
-    """(before, after, out_extent) for one spatial dimension."""
-    if padding == VALID:
-        if field > extent:
-            raise ShapeError(f"filter extent {field} exceeds input extent {extent}")
-        return 0, 0, (extent - field) // stride + 1
-    if padding == SAME:
-        out = -(-extent // stride)  # ceil
+def _same_pad(x, field, stride):
+    """Zero-pad (N,C,H,W) ``x`` so a ``field``-wide filter at ``stride``
+    yields ceil(extent / stride) outputs per spatial axis, the odd pixel of
+    padding going after; returns ``(padded, top, left, out_h, out_w)``."""
+    pads, outs = [], []
+    for extent in x.shape[2:]:
+        out = -(-extent // stride)
         total = max((out - 1) * stride + field - extent, 0)
-        return total // 2, total - total // 2, out
-    raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
+        pads.append((total // 2, total - total // 2))
+        outs.append(out)
+    xp = np.pad(x, ((0, 0), (0, 0), *pads)) if any(map(any, pads)) else x
+    return xp, pads[0][0], pads[1][0], *outs
 
 
-def conv_output_dims(height, width, field, stride=1, padding=VALID):
-    """Spatial output extents of a conv/pool layer; raises on non-positive."""
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    _, _, out_h = _pad_amounts(height, field, stride, padding)
-    _, _, out_w = _pad_amounts(width, field, stride, padding)
-    if out_h <= 0 or out_w <= 0:
-        raise ShapeError(
-            f"conv output collapsed to {out_h}x{out_w} for input {height}x{width}, "
-            f"filter {field}, stride {stride}, padding {padding}"
-        )
-    return out_h, out_w
+def _tap(a, i, j, stride, out_h, out_w):
+    """Strided (N, C, Ho, Wo) view of ``a`` under filter tap (i, j)."""
+    return a[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
 
 
 def _window_view(x, field, stride, out_h, out_w):
@@ -54,23 +43,23 @@ def _window_view(x, field, stride, out_h, out_w):
     win = np.empty((n, c, field, field, out_h, out_w), dtype=x.dtype)
     for i in range(field):
         for j in range(field):
-            win[:, :, i, j] = x[:, :, i : i + stride * out_h : stride,
-                                j : j + stride * out_w : stride]
+            win[:, :, i, j] = _tap(x, i, j, stride, out_h, out_w)
     return win
+
 
 def _window_scatter(shape, dwin, field, stride, out_h, out_w):
     """Adjoint of :func:`_window_view`: scatter-add windows back."""
     dx = np.zeros(shape, dtype=dwin.dtype)
     for i in range(field):
         for j in range(field):
-            dx[:, :, i : i + stride * out_h : stride,
-               j : j + stride * out_w : stride] += dwin[:, :, i, j]
+            view = _tap(dx, i, j, stride, out_h, out_w)
+            view += dwin[:, :, i, j]
     return dx
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-           padding: str = VALID) -> Tensor:
-    """2-D cross-correlation of (N,C,H,W) input with (K,C,F,F) filters."""
+def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+    """Same-padded, bias-free 2-D cross-correlation of (N,C,H,W) input with
+    (K,C,F,F) filters."""
     _check_4d(x, "conv2d input")
     _check_4d(w, "conv2d filters")
     n, c, h, wd = x.shape
@@ -79,46 +68,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         raise ShapeError(f"only square filters supported, got {fh}x{fw}")
     if cf != c:
         raise ShapeError(f"filter channels {cf} do not match input channels {c}")
-    if b is not None and b.shape != (k,):
-        raise ShapeError(f"bias shape {b.shape} does not match {k} filters")
-    top, bottom, out_h = _pad_amounts(h, fh, stride, padding)
-    left, right, out_w = _pad_amounts(wd, fw, stride, padding)
 
     pointwise = fh == 1 and stride == 1
     if pointwise:  # the (N, C, H*W) input already is the column matrix
+        out_h, out_w = h, wd
         cols = x.data.reshape(n, c, h * wd)
     else:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right))) \
-            if (top or bottom or left or right) else x.data
+        xp, top, left, out_h, out_w = _same_pad(x.data, fh, stride)
         cols = _window_view(xp, fh, stride, out_h, out_w).reshape(
             n, c * fh * fw, out_h * out_w)
     wmat = w.data.reshape(k, c * fh * fw)
     out = np.matmul(wmat, cols).reshape(n, k, out_h, out_w)
-    if b is not None:
-        out = out + b.data[None, :, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
         gmat = g.reshape(n, k, out_h * out_w)
         dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         dcols = np.matmul(wmat.T, gmat)
         if pointwise:
-            dx = dcols.reshape(x.shape)
-        else:
-            dwin = dcols.reshape(n, c, fh, fw, out_h, out_w)
-            dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
-            dx = dxp[:, :, top : top + h, left : left + wd]
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+            return dcols.reshape(x.shape), dw
+        dwin = dcols.reshape(n, c, fh, fw, out_h, out_w)
+        dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
+        return dxp[:, :, top : top + h, left : left + wd], dw
 
-    return Tensor.from_op("conv2d", parents, out, vjp)
+    return Tensor.from_op("conv2d", (x, w), out, vjp)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
-                     padding: str = VALID) -> Tensor:
-    """Per-channel convolution: (N,C,H,W) with one (C,1,F,F) filter plane each."""
+def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
+    """Same-padded per-channel convolution: (N,C,H,W) with one (C,1,F,F)
+    filter plane each."""
     _check_4d(x, "depthwise input")
     _check_4d(w, "depthwise filters")
     n, c, h, wd = x.shape
@@ -127,23 +104,15 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
         raise ShapeError(f"depthwise filters must be (C,1,F,F), got {w.shape}")
     if cf != c:
         raise ShapeError(f"one filter plane per channel required: {cf} planes, {c} channels")
-    top, bottom, out_h = _pad_amounts(h, fh, stride, padding)
-    left, right, out_w = _pad_amounts(wd, fw, stride, padding)
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right))) \
-        if (top or bottom or left or right) else x.data
+    xp, top, left, out_h, out_w = _same_pad(x.data, fh, stride)
     taps = w.data[:, 0, :, :, None, None]  # (C, F, F, 1, 1)
-
-    def at(a, i, j):
-        """Strided (N, C, Ho, Wo) view of ``a`` under filter tap (i, j)."""
-        return a[:, :, i : i + stride * out_h : stride,
-                 j : j + stride * out_w : stride]
 
     out = np.zeros((n, c, out_h, out_w), dtype=x.dtype)
     term = np.empty_like(out)
     for i in range(fh):
         for j in range(fw):
-            out += np.multiply(at(xp, i, j), taps[:, i, j], out=term)
+            out += np.multiply(_tap(xp, i, j, stride, out_h, out_w), taps[:, i, j],
+                               out=term)
 
     def vjp(g):
         dw = np.empty_like(w.data)
@@ -151,8 +120,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1,
         term = np.empty_like(g)
         for i in range(fh):
             for j in range(fw):
-                dw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, at(xp, i, j))
-                view = at(dxp, i, j)
+                dw[:, 0, i, j] = np.einsum("nchw,nchw->c", g,
+                                           _tap(xp, i, j, stride, out_h, out_w))
+                view = _tap(dxp, i, j, stride, out_h, out_w)
                 view += np.multiply(g, taps[:, i, j], out=term)
         return dxp[:, :, top : top + h, left : left + wd], dw
 

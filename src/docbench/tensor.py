@@ -23,13 +23,11 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "name", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.size == 0:
             raise ShapeError(f"zero-extent tensor of shape {arr.shape} rejected")
@@ -38,7 +36,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
         self.parents = ()
-        self.name = name
         self._vjp = None
 
     # -- construction -----------------------------------------------------
@@ -64,10 +61,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op!r})"
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -105,9 +98,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Tensor.from_op("neg", (self,), -self.data, lambda g: (-g,))
-
     def __sub__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -117,9 +107,6 @@ class Tensor:
             return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
         return Tensor.from_op("sub", (a, b), out, vjp)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -132,20 +119,6 @@ class Tensor:
             return ga, gb
 
         return Tensor.from_op("div", (a, b), out, vjp)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents supported")
-        a, n = self, float(exponent)
-        out = a.data ** n
-
-        def vjp(g):
-            return (g * n * a.data ** (n - 1.0),)
-
-        return Tensor.from_op("pow", (a,), out, vjp)
 
     # -- matmul -------------------------------------------------------------
 
@@ -217,15 +190,6 @@ class Tensor:
         return Tensor.from_op("mean", (a,), out, vjp)
 
     # -- pointwise nonlinearities ------------------------------------------------
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-        return Tensor.from_op("exp", (a,), out, lambda g: (g * out,))
-
-    def log(self):
-        a = self
-        return Tensor.from_op("log", (a,), np.log(a.data), lambda g: (g / a.data,))
 
     def sqrt(self):
         a = self

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PAD_ID
 from .layers import Linear, TextNetwork, TokenEmbedding, TransformerBlock
 
 
@@ -42,7 +41,7 @@ class TextEncoderSpec:
 
 def build_text_encoder(spec: TextEncoderSpec, seed: int = 0) -> TextNetwork:
     rng = np.random.default_rng(seed)
-    net = TextNetwork(spec.num_classes, pad_id=PAD_ID)
+    net = TextNetwork(spec.num_classes)
     net.add_group("embedding", TokenEmbedding(
         spec.vocab_size, spec.max_len, spec.hidden, spec.dropout, rng))
     for layer in range(1, spec.num_layers + 1):

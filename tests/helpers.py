@@ -47,6 +47,16 @@ def flat_params(net):
     return np.concatenate([p.data.ravel() for _, p in net.named_params()])
 
 
+def same_pad(x, field, stride=1):
+    """Zero-pad (N,C,H,W) so a valid-padded filter yields ceil(H/stride) x
+    ceil(W/stride) outputs, with the odd pixel of padding after."""
+    pads = []
+    for extent in x.shape[2:]:
+        total = max((-(-extent // stride) - 1) * stride + field - extent, 0)
+        pads.append((total // 2, total - total // 2))
+    return np.pad(x, ((0, 0), (0, 0), *pads))
+
+
 def conv2d_loops(x, w, b=None, stride=1):
     """Six nested loops, valid padding only."""
     n, c, h, wd = x.shape

@@ -410,6 +410,43 @@ def test_ensemble_eval_rejects_swapped_checkpoints(work, tmp_path, capsys):
     assert err.startswith(f"error: {text_ck}: ") and "model" in err
 
 
+@pytest.mark.parametrize("flags,expected", [
+    (["splits.per_class_quota=40", "splits.train_size=120", "splits.val_size=40"],
+     "splits.per_class_quota puts all 160 documents in train and val, "
+     "leaving no test documents"),
+    (["ensemble.grid_search=true", "splits.train_size=100", "splits.val_size=0"],
+     "splits.val_size must be >= 1 for ensemble.grid_search"),
+])
+def test_ensemble_eval_empty_split_fails_before_loading_checkpoints(
+        work, tmp_path, capsys, flags, expected):
+    """The checkpoints do not exist: the split check must come first."""
+    out = tmp_path / "out"
+    argv = ["ensemble-eval", "--data", work["data"], "--out", str(out),
+            "--image-checkpoint", str(tmp_path / "none.tensors"),
+            "--text-checkpoint", str(tmp_path / "none.tensors")]
+    for flag in flags:
+        argv += ["--set", flag]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "ensemble-eval"])
+def test_non_network_tensor_file_is_refused_naming_it(work, tmp_path, capsys,
+                                                      command):
+    image = os.path.join(work["data"], "images", "doc_00000.bin")
+    out = tmp_path / "out"
+    argv = [command, "--data", work["data"], "--out", str(out)]
+    if command == "finetune":
+        argv += ["--checkpoint", image]
+    else:
+        argv += ["--image-checkpoint", image, "--text-checkpoint",
+                 os.path.join(work["txt"], "checkpoint.tensors")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {image}: not a network checkpoint\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,key", [("pretrain", "pretrain.epochs"),
                                          ("finetune", "finetune.epochs"),
                                          ("train-text", "text.epochs")])
@@ -508,6 +545,9 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
      "--k-list must start with 1, got [2, 3]"),
     ("bench-scaling", ["--set", "bench.k_list=2 4"],
      "bench.k_list must start with 1, got [2, 4]"),
+    ("pretrain", ["--set", "image_model.stages=conv 3 16 1 1 1 0.25"],
+     "image_model.stages: stage kind must be mbconv, got 'conv'; "
+     "got 'conv 3 16 1 1 1 0.25'"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,

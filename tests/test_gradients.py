@@ -83,12 +83,9 @@ def test_pointwise_nonlinearities(seed):
     x = np.where(np.abs(x) < 0.1, x + 0.3, x)  # keep clear of the relu kink
     fd_gradcheck(lambda t: t.relu(), [x], rng=rng)
     fd_gradcheck(lambda t: t.sigmoid(), [x], rng=rng)
-    fd_gradcheck(lambda t: t.exp(), [x], rng=rng)
     fd_gradcheck(ops.swish, [x], rng=rng)
     pos = np.abs(x) + 0.5
-    fd_gradcheck(lambda t: t.log(), [pos], rng=rng)
     fd_gradcheck(lambda t: t.sqrt(), [pos], rng=rng)
-    fd_gradcheck(lambda t: t ** 3, [x], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -126,28 +123,20 @@ def test_conv2d(seed):
     f = int(rng.integers(1, 4))
     h = int(rng.integers(f, f + 3))
     stride = int(rng.integers(1, 3))
-    padding = "same" if rng.integers(2) else "valid"
     x = rng.standard_normal((n, c, h, h))
     w = rng.standard_normal((k, c, f, f))
-    b = rng.standard_normal(k)
-    fd_gradcheck(lambda xx, ww, bb: ops.conv2d(xx, ww, bb, stride, padding),
-                 [x, w, b], rng=rng)
+    fd_gradcheck(lambda xx, ww: ops.conv2d(xx, ww, stride), [x, w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_conv2d_pointwise(seed):
-    # 1x1 at stride 1 runs as a plain matmul; check it with and without bias
+    # 1x1 at stride 1 runs as a plain matmul
     rng = np.random.default_rng(seed)
     n, c, k = rand_shape(rng, 3, 1, 3)
     h, wd = rand_shape(rng, 2, 1, 4)
     x = rng.standard_normal((n, c, h, wd))
     w = rng.standard_normal((k, c, 1, 1))
-    b = rng.standard_normal(k)
-    for padding in ("same", "valid"):
-        fd_gradcheck(lambda xx, ww, bb: ops.conv2d(xx, ww, bb, 1, padding),
-                     [x, w, b], rng=rng)
-        fd_gradcheck(lambda xx, ww: ops.conv2d(xx, ww, None, 1, padding),
-                     [x, w], rng=rng)
+    fd_gradcheck(ops.conv2d, [x, w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -158,8 +147,7 @@ def test_depthwise_conv2d_stride2_same(seed):
     h, wd = rand_shape(rng, 2, 2, 6)
     x = rng.standard_normal((int(rng.integers(1, 3)), c, h, wd))
     w = rng.standard_normal((c, 1, f, f))
-    fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=2,
-                                                     padding="same"),
+    fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=2),
                  [x, w], rng=rng)
 
 
@@ -170,11 +158,9 @@ def test_depthwise_conv2d(seed):
     f = int(rng.integers(1, 4))
     h = int(rng.integers(f, f + 3))
     stride = int(rng.integers(1, 3))
-    padding = "same" if rng.integers(2) else "valid"
     x = rng.standard_normal((1, c, h, h))
     w = rng.standard_normal((c, 1, f, f))
-    fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=stride,
-                                                     padding=padding),
+    fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=stride),
                  [x, w], rng=rng)
 
 
@@ -250,14 +236,14 @@ def test_batch_norm_eval(seed):
 
 def test_shared_vjp_array_reaching_a_leaf_and_its_sibling():
     """``a + h`` hands one gradient array to the leaf ``a`` and to the
-    non-leaf ``h``; ``a.exp()``'s vjp then adds into ``a.grad`` before
+    non-leaf ``h``; ``a.sigmoid()``'s vjp then adds into ``a.grad`` before
     ``h``'s vjp reads ``h.grad``.  A leaf accumulating in place into the
     shared array would corrupt ``h``'s gradient."""
     rng = np.random.default_rng(0)
 
     def func(a):
         h = a * 2.0
-        return (h * 3.0 + a.exp()) + (a + h)
+        return (h * 3.0 + a.sigmoid()) + (a + h)
 
     fd_gradcheck(func, [rng.standard_normal((3,))], rng=rng)
 
@@ -285,7 +271,7 @@ def test_single_precision_tolerance(seed):
     w32 = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
     xt = Tensor(x32, requires_grad=True)
     wt = Tensor(w32, requires_grad=True)
-    out = ops.swish(ops.conv2d(xt, wt, padding="same"))
+    out = ops.swish(ops.conv2d(xt, wt))
     proj = rng.standard_normal(out.shape).astype(np.float32)
     (out * Tensor(proj)).sum().backward()
 
@@ -294,9 +280,9 @@ def test_single_precision_tolerance(seed):
     for idx in rng.choice(flat.size, size=10, replace=False):
         orig = flat[idx]
         flat[idx] = orig + step
-        fp = float((ops.swish(ops.conv2d(xt, wt, padding="same")).data * proj).sum())
+        fp = float((ops.swish(ops.conv2d(xt, wt)).data * proj).sum())
         flat[idx] = orig - step
-        fm = float((ops.swish(ops.conv2d(xt, wt, padding="same")).data * proj).sum())
+        fm = float((ops.swish(ops.conv2d(xt, wt)).data * proj).sum())
         flat[idx] = orig
         numeric = (fp - fm) / (2 * step)
         a = xt.grad.reshape(-1)[idx]

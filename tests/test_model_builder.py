@@ -11,7 +11,6 @@ from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
                                    StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
 from docbench.layers import Ctx, MBConv, count_params
-from docbench.ops import conv_output_dims
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
                               round_to_even)
 from docbench.text_encoder import TextEncoderSpec, build_text_encoder
@@ -129,20 +128,6 @@ def test_round_repeats_never_below_one(r, mult):
     assert out >= int(np.floor(r * mult))
 
 
-# -- conv arithmetic -----------------------------------------------------------------
-
-
-def test_conv_output_dims_valid():
-    assert conv_output_dims(224, 224, 3, 1, "valid") == (222, 222)
-    assert conv_output_dims(32, 32, 5, 1, "valid") == (28, 28)
-
-
-def test_conv_output_dims_same():
-    assert conv_output_dims(224, 224, 3, 2, "same") == (112, 112)
-    assert conv_output_dims(7, 7, 3, 2, "same") == (4, 4)
-    assert conv_output_dims(32, 32, 5, 1, "same") == (32, 32)
-
-
 # -- MBConv structure ----------------------------------------------------------------
 
 
@@ -150,9 +135,13 @@ def param_names(layer):
     return {name for name, _ in layer.named_params()}
 
 
+def rng0():
+    return np.random.default_rng(0)
+
+
 def test_expand_conv_omitted_at_expansion_one():
-    names1 = param_names(MBConv(8, 8, 1, 3, 1, 0.25))
-    names6 = param_names(MBConv(8, 8, 6, 3, 1, 0.25))
+    names1 = param_names(MBConv(8, 8, 1, 3, 1, 0.25, rng0()))
+    names6 = param_names(MBConv(8, 8, 6, 3, 1, 0.25, rng0()))
     assert not any(n.startswith("expand_conv") for n in names1)
     assert any(n.startswith("expand_conv") for n in names6)
 
@@ -162,12 +151,12 @@ def test_mbconv_residual_shape_rules():
     x = rng.normal(size=(2, 8, 8, 8))
     ctx = Ctx(training=False)
     # stride 1, matching channels: residual path must change the output
-    block = MBConv(8, 8, 6, 3, 1, 0.25)
+    block = MBConv(8, 8, 6, 3, 1, 0.25, rng0())
     from docbench.tensor import Tensor
     out = block(Tensor(x), ctx)
     assert out.shape == (2, 8, 8, 8)
     # stride 2 halves the spatial extent
-    out2 = MBConv(8, 16, 6, 3, 2, 0.25)(Tensor(x), ctx)
+    out2 = MBConv(8, 16, 6, 3, 2, 0.25, rng0())(Tensor(x), ctx)
     assert out2.shape == (2, 16, 4, 4)
 
 
@@ -184,15 +173,15 @@ def test_mbconv_residual_is_additive():
             p.data[...] = 0.0
         return block
 
-    same = zero_params(MBConv(6, 6, 6, 3, 1, 0.0))
+    same = zero_params(MBConv(6, 6, 6, 3, 1, 0.0, rng0()))
     assert np.allclose(same(Tensor(x), ctx).data, x)
-    proj = zero_params(MBConv(6, 8, 6, 3, 1, 0.0))
+    proj = zero_params(MBConv(6, 8, 6, 3, 1, 0.0, rng0()))
     assert np.allclose(proj(Tensor(x), ctx).data, 0.0)
 
 
 def test_mbconv_rejects_bad_channels():
     with pytest.raises(ValueError):
-        MBConv(0, 8, 6, 3, 1, 0.25)
+        MBConv(0, 8, 6, 3, 1, 0.25, rng0())
 
 
 # -- full network builds -------------------------------------------------------------
@@ -312,7 +301,7 @@ def test_text_group_layout():
 def test_text_forward_simplex():
     net = build_text_encoder(text_spec())
     ids = np.array([[2, 7, 8, 9, 3, 0, 0, 0, 0, 0, 0, 0]])
-    probs = net(ids, Ctx(training=False)).data
+    probs = net(ids, Ctx(training=False), ids != 0).data
     assert probs.shape == (1, 4)
     assert np.allclose(probs.sum(axis=1), 1.0)
 
@@ -324,7 +313,7 @@ def test_permuting_content_tokens_changes_output():
     ctx = Ctx(training=False)
     a = np.array([[2, 7, 8, 9, 10, 3, 0, 0, 0, 0, 0, 0]])
     b = np.array([[2, 10, 9, 8, 7, 3, 0, 0, 0, 0, 0, 0]])
-    pa, pb = net(a, ctx).data, net(b, ctx).data
+    pa, pb = net(a, ctx, a != 0).data, net(b, ctx, b != 0).data
     assert not np.allclose(pa, pb)
 
 
@@ -355,7 +344,7 @@ def test_text_spec_validation():
 def test_too_long_sequence_is_rejected():
     net = build_text_encoder(text_spec(max_len=8))
     with pytest.raises(ValueError):
-        net(np.zeros((1, 9), dtype=np.int64), Ctx(training=False))
+        net(np.zeros((1, 9), dtype=np.int64), Ctx(training=False), np.ones((1, 9)))
 
 
 # -- freeze and checkpoint contracts -------------------------------------------------
@@ -409,13 +398,15 @@ def test_checkpoint_meta_must_match_the_network(tmp_path):
 
 def test_checkpoint_shape_mismatch(tmp_path):
     from docbench.tensor import ShapeError
-    net = micro_net(num_classes=4)
     path = str(tmp_path / "net.tensors")
-    net.save(path)
-    bigger = micro_net(num_classes=5)
-    with pytest.raises(ShapeError):
-        bigger.load(path)
-    assert bigger.load(path, skip_groups=("head",)) is not None
+    micro_net(num_classes=4).save(path)
+    wider = build_efficientnet(MICRO_STAGES, ScaledDims(1.0, 1.0, 1.0, 16), 4,
+                               in_channels=1, stem_channels=16, head_channels=32)
+    with pytest.raises(ShapeError, match=r"net\.tensors: stem\.0\.weight: "
+                                         r"checkpoint shape \(8, 1, 3, 3\) != "
+                                         r"model \(16, 1, 3, 3\)$"):
+        wider.load(path)
+    assert micro_net(num_classes=5).load(path, skip_groups=("head",)) is not None
 
 
 def save_edited_state(tmp_path, edit):
@@ -424,7 +415,8 @@ def save_edited_state(tmp_path, edit):
     arrays = {name: a.copy() for name, a in micro_net().state_arrays().items()}
     edit(arrays)
     path = str(tmp_path / "edited.tensors")
-    save_tensors(path, arrays, {})
+    save_tensors(path, arrays, {"kind": "network-state",
+                                **micro_net().checkpoint_meta()})
     return path
 
 
@@ -433,13 +425,27 @@ def test_checkpoint_buffer_shape_mismatch_names_it(tmp_path):
     path = save_edited_state(tmp_path, lambda a: a.update(
         {"stem.1.running_mean": np.full(1, 7.0)}))
     net = micro_net()
-    with pytest.raises(ShapeError, match=r"^stem\.1\.running_mean: checkpoint "
-                                         r"shape \(1,\) != model \(8,\)$"):
+    with pytest.raises(ShapeError, match=r"edited\.tensors: stem\.1\.running_mean: "
+                                         r"checkpoint shape \(1,\) != model \(8,\)$"):
         net.load(path)
     assert not np.any(dict(net.named_buffers())["stem.1.running_mean"] == 7.0)
 
 
+def test_checkpoint_needs_the_network_meta(tmp_path):
+    from docbench.tensor import save_tensors
+    path = str(tmp_path / "bare.tensors")
+    save_tensors(path, micro_net().state_arrays())
+    with pytest.raises(ValueError, match=r"bare\.tensors: not a network checkpoint$"):
+        micro_net().load(path)
+    save_tensors(path, micro_net().state_arrays(),
+                 {"kind": "network-state", "model": "image", "num_classes": 4})
+    with pytest.raises(ValueError, match=r"bare\.tensors: checkpoint records no "
+                                         r"input_size$"):
+        micro_net().load(path)
+
+
 def test_checkpoint_missing_buffer_names_it(tmp_path):
     path = save_edited_state(tmp_path, lambda a: a.pop("stem.1.running_var"))
-    with pytest.raises(KeyError, match="stem.1.running_var"):
+    with pytest.raises(ValueError, match=r"edited\.tensors: checkpoint missing "
+                                         r"tensor 'stem\.1\.running_var'$"):
         micro_net().load(path)

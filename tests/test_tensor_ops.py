@@ -12,31 +12,25 @@ from docbench.layers import BatchNorm2d, Ctx
 from docbench.parallel import batch_loss
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              save_tensors, trace)
-from helpers import conv2d_loops
+from helpers import conv2d_loops, same_pad
 
 
 class TestConv2d:
     def test_all_ones_window_sum(self):
+        # the 2x2 window overhangs the padding row and column after the input
         x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         w = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        b = Tensor(np.zeros(1))
-        out = ops.conv2d(x, w, b)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.allclose(out.data, 4.0)
-
-    def test_valid_output_extent_384(self):
-        x = Tensor(np.zeros((1, 1, 384, 384)))
-        w = Tensor(np.zeros((1, 1, 3, 3)))
-        assert ops.conv2d(x, w).shape == (1, 1, 382, 382)
-        assert ops.conv_output_dims(384, 384, 3) == (382, 382)
+        out = ops.conv2d(x, w)
+        assert out.shape == (1, 1, 3, 3)
+        assert np.array_equal(out.data[0, 0], [[4, 4, 2], [4, 4, 2], [2, 2, 1]])
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-        want = conv2d_loops(x, w, b)
+        got = ops.conv2d(Tensor(x), Tensor(w)).data
+        want = conv2d_loops(same_pad(x, 3), w)
+        assert got.shape == (1, 3, 6, 6)
         assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -45,32 +39,29 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         got = ops.conv2d(Tensor(x), Tensor(w), stride=stride).data
-        assert np.max(np.abs(got - conv2d_loops(x, w, stride=stride))) < 1e-12
+        want = conv2d_loops(same_pad(x, 3, stride), w, stride=stride)
+        assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("padding", ["same"])
     def test_pointwise_matches_nested_loop_oracle(self, padding):
+        # a 1x1 filter at stride 1 runs as a plain matmul and pads nothing
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 5, 4))
         w = rng.standard_normal((6, 3, 1, 1))
-        b = rng.standard_normal(6)
-        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
-        assert np.max(np.abs(got - conv2d_loops(x, w, b))) < 1e-12
+        got = ops.conv2d(Tensor(x), Tensor(w)).data
+        assert np.max(np.abs(got - conv2d_loops(same_pad(x, 1), w))) < 1e-12
 
     def test_same_padding_keeps_ceil_extent(self):
         x = Tensor(np.zeros((1, 2, 7, 7)))
         w = Tensor(np.zeros((4, 2, 3, 3)))
-        assert ops.conv2d(x, w, padding="same").shape == (1, 4, 7, 7)
-        assert ops.conv2d(x, w, stride=2, padding="same").shape == (1, 4, 4, 4)
+        assert ops.conv2d(x, w).shape == (1, 4, 7, 7)
+        assert ops.conv2d(x, w, stride=2).shape == (1, 4, 4, 4)
 
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 5, 5)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
         with pytest.raises(ShapeError, match="channels"):
             ops.conv2d(x, w)
-
-    def test_oversized_filter_raises(self):
-        with pytest.raises(ShapeError, match="exceeds"):
-            ops.conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 5, 5))))
 
     def test_zero_extent_input_rejected(self):
         with pytest.raises(ShapeError, match="zero-extent"):
@@ -97,6 +88,9 @@ class TestDepthwise:
     def test_output_extent(self):
         out = ops.depthwise_conv2d(Tensor(np.zeros((1, 3, 5, 5))),
                                    Tensor(np.zeros((3, 1, 3, 3))))
+        assert out.shape == (1, 3, 5, 5)
+        out = ops.depthwise_conv2d(Tensor(np.zeros((1, 3, 5, 5))),
+                                   Tensor(np.zeros((3, 1, 3, 3))), stride=2)
         assert out.shape == (1, 3, 3, 3)
 
     def test_channel_count_mismatch_raises(self):
@@ -325,7 +319,7 @@ class TestFiniteForward:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((2, 3, 6, 6)))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-        out = ops.swish(ops.conv2d(x, w, padding="same", stride=2))
+        out = ops.swish(ops.conv2d(x, w, stride=2))
         assert np.isfinite(out.data).all()
         assert np.isfinite(ops.softmax(out.reshape(2, -1)).data).all()
 
@@ -388,21 +382,3 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match) as info:
             load_tensors(path)
         assert str(info.value).startswith(f"{path}: ")
-
-
-class TestShapeAlgebra:
-    @given(extent=st.integers(1, 64), field=st.integers(1, 9), stride=st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_output_dim_equations(self, extent, field, stride):
-        if field <= extent:
-            oh, _ = ops.conv_output_dims(extent, extent, field, stride, "valid")
-            assert oh == (extent - field) // stride + 1
-            if stride == 1:
-                assert oh == extent - field + 1
-        oh, _ = ops.conv_output_dims(extent, extent, field, stride, "same")
-        assert oh == -(-extent // stride)
-
-    def test_examples_from_shape_table(self):
-        assert ops.conv_output_dims(5, 5, 3, 1, "valid") == (3, 3)
-        assert ops.conv_output_dims(384, 384, 3, 1, "valid") == (382, 382)
-        assert ops.conv_output_dims(224, 224, 3, 2, "same") == (112, 112)
