@@ -7,7 +7,7 @@ Per step the shard-mean gradients are summed by ``ring_allreduce`` (k
 chunks, k-1 scatter-reduce phases then k-1 all-gather phases): every worker
 writes its optimizer's gradient buffer, with the loss in its last slot, into
 its row of one shared-memory block, worker 0 runs the ring over the rows and
-writes each result back, and each worker copies its own row into its buffer.
+writes each result back, and each worker divides its row by k into its buffer.
 Pipes to and from worker 0 order these steps.  Every replica then applies
 the identical optimizer step, so replicas never diverge.
 ``naive_allreduce``, a fixed-order summation, is the oracle the ring is
@@ -26,6 +26,7 @@ import numpy as np
 
 from .layers import Ctx
 from .ops import softmax_crossentropy
+from .tensor import no_grad
 
 CSV_HEADER = "k,wall_seconds,samples_per_sec,speedup,efficiency"
 
@@ -122,10 +123,11 @@ class _Collective:
         self.fds = mine
 
     def allreduce(self, vec: np.ndarray) -> np.ndarray:
-        """Elementwise sum of the 1-D vec over the workers; this worker's copy."""
+        """Elementwise sum of the 1-D vec over the workers, as a view of this
+        worker's shared row: read it before the next sync."""
         self.block[self.w, :vec.size] = vec
         self.sync(vec.size)
-        return self.block[self.w, :vec.size].copy()
+        return self.block[self.w, :vec.size]
 
     def sync(self, n: int = 0):
         """Wait for every worker; worker 0 all-reduces the rows' first n
@@ -354,14 +356,14 @@ def batch_loss(net, batch, ctx):
 
 
 def predict(net, loader, epoch: int = 0):
-    """Eval-mode (logits array, labels) for each batch of the loader's epoch.
-
-    Yielding the array, not the Tensor, frees each batch's tape before the
-    next forward; a caller's loop variable would otherwise keep it alive.
-    """
+    """Eval-mode (logits array, labels) for each batch of the loader's epoch,
+    each forward run under no_grad().  Recording is back on at each yield,
+    so a caller that stops early cannot leave it off."""
     ctx = Ctx(training=False)
     for *inputs, labels in loader.epoch(epoch):
-        yield _logits(net, inputs, ctx).data, labels
+        with no_grad():
+            logits = _logits(net, inputs, ctx).data
+        yield logits, labels
 
 
 def accuracy(net, loader, epoch: int = 0) -> float:

@@ -3,6 +3,7 @@
 Everything is backed by contiguous numpy arrays in single or double
 precision.  Graphs are built implicitly while computing; ``Tensor.backward``
 extracts the tape in topological order and walks it once in reverse.
+Inside ``no_grad()`` nothing is recorded: every op result is a plain leaf.
 """
 
 from __future__ import annotations
@@ -16,6 +17,19 @@ import numpy as np
 _DTYPE_TAGS = {np.dtype(np.float32): "float32", np.dtype(np.float64): "float64"}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 _FORMAT = "docbench-tensors-v1"
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block, so each activation can die as soon
+    as its consumer has run; the previous setting returns on exit."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class ShapeError(ValueError):
@@ -42,8 +56,10 @@ class Tensor:
 
     @staticmethod
     def from_op(op, parents, data, vjp):
-        """Wrap an op result; ``vjp(grad_out)`` yields one gradient per parent."""
-        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+        """Wrap an op result; ``vjp(grad_out)`` yields one gradient per parent.
+        Under ``no_grad()`` the result is a leaf and ``vjp`` is dropped."""
+        out = Tensor(data, requires_grad=_recording
+                     and any(p.requires_grad for p in parents))
         if out.requires_grad:
             out.op = op
             out.parents = tuple(parents)
@@ -213,6 +229,8 @@ class Tensor:
         """Populate ``grad`` on every tensor this scalar depends on; leaves
         accumulate in place, so a parameter's gradient stays a view of its
         optimizer's buffer."""
+        if not _recording:
+            raise RuntimeError("backward called inside no_grad(): nothing was recorded")
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
         order = trace(self)

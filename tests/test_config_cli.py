@@ -171,9 +171,15 @@ def test_snapshot_round_trips_sections():
 # -- CLI end to end ------------------------------------------------------------------
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*argv, must_pass=True):
+    """Run the CLI in a child that imports docbench from this checkout's src."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "docbench.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     if must_pass and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
     return proc

@@ -17,7 +17,8 @@ from docbench.layers import Ctx
 from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import (CSV_HEADER, ParallelConfig, _run_workers,
                                eval_image_accuracy, image_loss, measure_speedup,
-                               naive_allreduce, ring_allreduce, train_parallel)
+                               naive_allreduce, predict, ring_allreduce,
+                               train_parallel)
 
 
 # -- all-reduce oracle ---------------------------------------------------------------
@@ -246,6 +247,20 @@ def test_metrics_rows_and_eval_hook():
     for row in metrics:
         assert set(row) >= {"epoch", "train_loss", "lr", "val_acc", "seconds"}
         assert 0.0 <= row["val_acc"] <= 1.0
+
+
+def test_training_after_an_abandoned_predict_loop_records_its_tape():
+    """predict turns recording off only around each forward, so a caller
+    that stops after the first batch leaves training unaffected."""
+    loader = make_problem(8, steps=3)
+    net = FlatImageModel(36, 3, seed=7)
+    batches = predict(net, loader)
+    next(batches)  # suspended at its first yield, not closed
+    opt = SgdOptimizer(net, 0.05, SgdConfig())
+    opt.zero_grad()
+    image_loss(net, loader.batches[0], Ctx(training=True)).backward()
+    assert np.any(opt.grads[:-1] != 0)
+    batches.close()
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -9,9 +9,10 @@ from docbench import cli, ops
 from docbench.config import Config
 from docbench.data import ImageLoader, TextLoader, generate_corpus
 from docbench.layers import BatchNorm2d, Ctx
-from docbench.parallel import batch_loss
+from docbench.optim import SgdConfig, SgdOptimizer
+from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
-                             save_tensors, trace)
+                             no_grad, save_tensors, trace)
 from helpers import conv2d_loops, same_pad
 
 
@@ -236,6 +237,17 @@ class TestSoftmaxCrossentropy:
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-6
 
 
+def desk_net_and_loader(model):
+    """A desk image or text network and a loader of one batch per epoch."""
+    cfg = Config.load()
+    corpus = generate_corpus(cli._corpus_spec(cfg), seed=0)
+    if model == "image":
+        return (cli._build_image_net(cfg, corpus, seed=0),
+                ImageLoader(corpus, list(range(8)), 8, image_size=32))
+    return (cli._build_text_net(cfg, corpus, seed=0),
+            TextLoader(corpus, list(range(6)), 6, cli._text_max_len(cfg, corpus)))
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor(3.0, requires_grad=True)
@@ -274,15 +286,7 @@ class TestBackward:
     def test_desk_training_tape_size(self, model, nodes):
         """The benchmark's tensor.tape_nodes is len(trace(loss)) of one desk
         training step."""
-        cfg = Config.load()
-        corpus = generate_corpus(cli._corpus_spec(cfg), seed=0)
-        if model == "image":
-            net = cli._build_image_net(cfg, corpus, seed=0)
-            loader = ImageLoader(corpus, list(range(8)), 8, image_size=32)
-        else:
-            net = cli._build_text_net(cfg, corpus, seed=0)
-            loader = TextLoader(corpus, list(range(6)), 6,
-                                cli._text_max_len(cfg, corpus))
+        net, loader = desk_net_and_loader(model)
         ctx = Ctx(training=True, rng=np.random.default_rng(0))
         loss = batch_loss(net, next(iter(loader.epoch(0))), ctx)
         assert len(trace(loss)) == nodes
@@ -310,6 +314,63 @@ class TestBackward:
         (o1, g1), (o2, g2) = run(), run()
         assert np.array_equal(o1, o2)
         assert np.array_equal(g1, g2)
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("model", ["image", "text"])
+    def test_eval_logits_match_the_recorded_forward(self, model):
+        net, loader = desk_net_and_loader(model)
+        if model == "image":  # move the batch-norm running buffers off their init
+            opt = SgdOptimizer(net, 0.05, SgdConfig())
+            ctx = Ctx(training=True, rng=np.random.default_rng(0))
+            for epoch in range(3):
+                opt.zero_grad()
+                batch_loss(net, next(iter(loader.epoch(epoch))), ctx).backward()
+                opt.step()
+            assert not all(np.all(b == b.flat[0]) for _, b in net.named_buffers())
+        *inputs, _ = next(iter(loader.epoch(0)))
+        recorded = net.logits(inputs[0], Ctx(training=False), *inputs[1:])
+        assert len(trace(recorded)) > 1
+        (logits, _), = predict(net, loader)
+        assert np.array_equal(logits, recorded.data)
+
+    def test_nothing_made_under_the_switch_has_parents(self, monkeypatch):
+        net, loader = desk_net_and_loader("image")
+        made = []
+        from_op = Tensor.from_op
+
+        def recording_from_op(*args):
+            made.append(from_op(*args))
+            return made[-1]
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(recording_from_op))
+        x = next(iter(loader.epoch(0)))[0]
+        with no_grad():
+            logits = net.logits(x, Ctx(training=False))
+        assert len(made) > 50
+        assert all(t.parents == () and t.op == "leaf" and t._vjp is None
+                   and not t.requires_grad for t in made)
+        assert len(trace(logits)) == 1
+
+    def test_switch_is_restored_after_nesting_and_exceptions(self):
+        x = Tensor(2.0, requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert (x * x).parents == ()
+            assert (x * x).parents == ()
+        assert len((x * x).parents) == 2
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("inside")
+        (x * x).backward()
+        assert x.grad == 4.0
+
+    def test_backward_under_the_switch_names_it(self):
+        x = Tensor(3.0, requires_grad=True)
+        loss = x * x
+        with no_grad(), pytest.raises(RuntimeError, match="no_grad"):
+            loss.backward()
+        assert x.grad is None
 
 
 class TestFiniteForward:
