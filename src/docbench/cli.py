@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -22,7 +23,7 @@ from . import __version__, ops
 from .config import Config, ConfigError
 from .data import (AugmentConfig, Corpus, CorpusSpec, ImageLoader, TextLoader,
                    generate_corpus, load_corpus, make_splits, save_corpus)
-from .efficientnet import BASE_STAGES, StageSpec, build_efficientnet
+from .efficientnet import StageSpec, build_efficientnet
 from .ensemble import (FusionWeights, evaluate, fuse, grid_search_weights,
                        predict_classes, report_csv)
 from .layers import Network
@@ -66,7 +67,9 @@ def _stage_specs(cfg: Config):
             stages.append(StageSpec(parts[0], *map(int, parts[1:6]), float(parts[6])))
         except ValueError as exc:
             raise ConfigError(f"image_model.stages: {exc}; got {line.strip()!r}") from None
-    return tuple(stages) or BASE_STAGES
+    if not stages:
+        raise ConfigError("image_model.stages must list at least one stage")
+    return tuple(stages)
 
 
 def _scaled_dims(cfg: Config) -> ScaledDims:
@@ -174,13 +177,13 @@ def _write_training(command: str, args, cfg: Config, started: float, net,
     csv_path = os.path.join(out, "metrics.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    final = metrics[-1].get("val_acc", math.nan)  # NaN after an empty val split
     _write_manifest(out, command, args, cfg,
                     {"checkpoint": ckpt, "metrics": csv_path}, started,
                     extra={"epochs": len(metrics),
-                           "final_val_acc": metrics[-1].get("val_acc"),
+                           "final_val_acc": None if math.isnan(final) else final,
                            **(extra or {})})
-    print(f"{command}: {len(metrics)} epochs, "
-          f"final val_acc {metrics[-1].get('val_acc', float('nan')):.4f}")
+    print(f"{command}: {len(metrics)} epochs, final val_acc {final:.4f}")
     return 0
 
 

@@ -79,16 +79,11 @@ class Layer:
 class Sequential(Layer):
     def __init__(self, *items):
         super().__init__()
-        object.__setattr__(self, "_items", [])
-        for item in items:
-            self.append(item)
-
-    def append(self, layer: Layer):
-        self._children[str(len(self._items))] = layer
-        self._items.append(layer)
+        for i, item in enumerate(items):
+            self._children[str(i)] = item
 
     def __call__(self, x, ctx: Ctx):
-        for layer in self._items:
+        for layer in self._children.values():
             x = layer(x, ctx)
         return x
 
@@ -329,38 +324,33 @@ class TokenEmbedding(Layer):
 
 
 class Network(Layer):
-    """A built model: ordered named groups of layers.
+    """A built model: its children are its named groups, in the order added.
 
     Groups are the unit of freezing (`freeze`) and of per-group learning
     rates; every parameter path starts with exactly one group name.
     """
 
-    def __init__(self):
-        super().__init__()
-        object.__setattr__(self, "_group_order", [])
-
     def add_group(self, name: str, layer: Layer):
-        if name in self._group_order:
+        if name in self._children:
             raise ValueError(f"duplicate group {name!r}")
-        self._group_order.append(name)
         setattr(self, name, layer)
 
     def group_names(self):
-        return list(self._group_order)
+        return list(self._children)
 
     def group(self, name: str) -> Layer:
-        if name not in self._group_order:
-            raise KeyError(f"unknown group {name!r}; have {self._group_order}")
+        if name not in self._children:
+            raise KeyError(f"unknown group {name!r}; have {self.group_names()}")
         return self._children[name]
 
     def freeze(self, keep_trainable):
         """Freeze every group not listed."""
         keep = set(keep_trainable)
-        unknown = keep - set(self._group_order)
+        unknown = keep - set(self._children)
         if unknown:
-            raise KeyError(f"unknown group(s) {sorted(unknown)}; have {self._group_order}")
-        for name in self._group_order:
-            self.group(name).set_frozen(name not in keep)
+            raise KeyError(f"unknown group(s) {sorted(unknown)}; have {self.group_names()}")
+        for name, group in self._children.items():
+            group.set_frozen(name not in keep)
 
     def trainable_count(self):
         return sum(p.data.size for _, p in self.named_params() if p.requires_grad)
@@ -376,7 +366,7 @@ class Network(Layer):
         return {}
 
     def save(self, path, extra_meta=None):
-        meta = {"kind": "network-state", "groups": self._group_order,
+        meta = {"kind": "network-state", "groups": self.group_names(),
                 "buffers": [n for n, _ in self.named_buffers()],
                 **self.checkpoint_meta(), **(extra_meta or {})}
         save_tensors(path, self.state_arrays(), meta)
@@ -421,8 +411,8 @@ class ImageNetwork(Network):
     def logits(self, x, ctx: Ctx):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        for name in self._group_order:
-            x = self.group(name)(x, ctx)
+        for group in self._children.values():
+            x = group(x, ctx)
         return x
 
     def __call__(self, x, ctx: Ctx):
@@ -446,9 +436,9 @@ class TextNetwork(Network):
         bias = (mask - 1.0) * 1e9  # -1e9 on padding, 0 on real tokens
         bias = Tensor(bias.reshape(bias.shape[0], 1, 1, bias.shape[1]))
         x = self.group("embedding")(ids, ctx)
-        for name in self._group_order:
+        for name, group in self._children.items():
             if name.startswith("layer_"):
-                x = self.group(name)(x, bias, ctx)
+                x = group(x, bias, ctx)
         return self.group("head")(x[:, 0], ctx)
 
     def __call__(self, ids, ctx: Ctx, mask):

@@ -6,10 +6,10 @@ worker owns its replica and a disjoint shard of every global batch.
 Per step the shard-mean gradients are summed by ``ring_allreduce`` (k
 chunks, k-1 scatter-reduce phases then k-1 all-gather phases): every worker
 writes its optimizer's gradient buffer, with the loss in its last slot, into
-its row of one shared-memory block, worker 0 runs the ring over the rows and
-writes each result back, and each worker divides its row by k into its buffer.
-Pipes to and from worker 0 order these steps.  Every replica then applies
-the identical optimizer step, so replicas never diverge.
+its row of one shared-memory block, worker 0 runs the ring over the rows in
+place, and each worker divides its row by k into its buffer.  Pipes to and
+from worker 0 order these steps; k=1 runs the same exchange over one row.
+Every replica then applies the identical optimizer step, so none diverges.
 ``naive_allreduce``, a fixed-order summation, is the oracle the ring is
 tested against.
 """
@@ -52,35 +52,31 @@ class ParallelConfig:
 def ring_allreduce(vectors):
     """Elementwise sum of k same-shape arrays, materialized at every worker.
 
-    Follows the ring schedule exactly: each array is split into k chunks;
-    during scatter-reduce phase p worker w adds the chunk arriving from
-    worker w-1 into its own copy, after which worker (c-1) mod k holds the
-    complete chunk c; the all-gather phases then circulate the finished
-    chunks.  The addition order is fixed by the schedule, so results are
-    bit-identical across runs.
+    Follows the ring schedule exactly: the k rows are split into k chunks
+    (bounds as np.array_split); during scatter-reduce phase p = 1..k-1 row
+    c+p adds in chunk c from row c+p-1, after which row c-1 (mod k) holds
+    the complete chunk c; the all-gather then copies it to the other rows.
+    The addition order is fixed by the schedule, so results are
+    bit-identical across runs.  A (k, n) array is reduced in place; a list
+    of arrays is stacked first.  Returns the k result rows.
     """
-    arrays = [np.asarray(v) for v in vectors]
-    if not arrays:
-        raise ValueError("need at least one vector")
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ValueError(f"length mismatch: {a.shape} vs {shape}")
-    k = len(arrays)
-    if k == 1:
-        return [arrays[0].copy()]
-    chunks = [list(np.array_split(a.ravel().copy(), k)) for a in arrays]
-    for phase in range(k - 1):          # scatter-reduce
-        for w in range(k):
-            src = (w - 1) % k
-            c = (src - phase) % k
-            chunks[w][c] = chunks[w][c] + chunks[src][c]
-    for phase in range(k - 1):          # all-gather
-        for w in range(k):
-            src = (w - 1) % k
-            c = (src + 1 - phase) % k
-            chunks[w][c] = chunks[src][c]
-    return [np.concatenate(ch).reshape(shape) for ch in chunks]
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        rows, shape = vectors, vectors.shape[1:]
+    else:
+        arrays = [np.asarray(v) for v in vectors]
+        shape = arrays[0].shape if arrays else None
+        if shape is None or any(a.shape != shape for a in arrays):
+            raise ValueError(f"need same-shape vectors, got {[a.shape for a in arrays]}")
+        rows = np.stack([a.ravel() for a in arrays])
+    k, n = rows.shape
+    bounds = [c * (n // k) + min(c, n % k) for c in range(k + 1)]
+    for c in range(k):
+        chunk = slice(bounds[c], bounds[c + 1])
+        for p in range(1, k):           # scatter-reduce
+            rows[(c + p) % k, chunk] += rows[(c + p - 1) % k, chunk]
+        for p in range(k - 1):          # all-gather from row c-1
+            rows[(c + p) % k, chunk] = rows[(c - 1) % k, chunk]
+    return [row.reshape(shape) for row in rows]
 
 
 def naive_allreduce(vectors):
@@ -139,7 +135,7 @@ class _Collective:
             return
         for w in self.pipes:
             self.hear(w)
-        self.block[:, :n] = ring_allreduce(list(self.block[:, :n]))
+        ring_allreduce(self.block[:, :n])
         for fds in self.pipes.values():
             os.write(fds[3], _READY)
 
@@ -230,15 +226,14 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
         buffers = [b for _, b in net.named_buffers()]
 
         def run(collective):
-            w = collective.w if collective else 0
+            w = collective.w
             ctx = Ctx(training=True,
                       rng=np.random.default_rng(np.random.SeedSequence([cfg.seed, w])))
             metrics = []
             for epoch in range(epochs):
                 losses = []
                 peak_lr = 0.0
-                if collective:
-                    collective.sync()
+                collective.sync()
                 started = time.perf_counter()
                 for step, batch in enumerate(loader.epoch(epoch)):
                     if batch[0].shape[0] != cfg.global_batch:
@@ -251,22 +246,21 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                     loss = loss_fn(net, shard, ctx)
                     loss.backward()
                     opt.grads[-1] = loss.item()
-                    if collective:
-                        np.divide(collective.allreduce(opt.grads), k, out=opt.grads)
+                    np.divide(collective.allreduce(opt.grads), k, out=opt.grads)
                     try:
                         peak_lr = max(peak_lr, opt.step())
                     except FloatingPointError as exc:
                         raise FloatingPointError(
                             f"epoch {epoch}, step {step}: {exc}") from None
                     losses.append(float(opt.grads[-1]))
-                    if debug and collective:
+                    if debug:
                         all_p = collective.allreduce(opt.params)
                         dev = np.max(np.abs(opt.params - all_p / k))
                         if dev > 1e-6:
                             raise RuntimeError(
                                 f"replica divergence {dev:.3e} beyond 1e-6")
                 seconds = time.perf_counter() - started
-                if collective and buffers:
+                if buffers:
                     # running statistics differ per shard; re-sync as the mean
                     mean_b = collective.allreduce(
                         np.concatenate([b.ravel() for b in buffers])) / k
@@ -281,8 +275,6 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
                 metrics.append(row)
             return metrics
 
-        if k == 1:
-            return net, run(None)
         # opt.grads is one longer than opt.params, which debug exchanges
         size = max(opt.grads.size, sum(b.size for b in buffers))
         return net, _run_workers(k, size, run)

@@ -237,6 +237,20 @@ def test_run_json_records_its_environment(work):
         assert env[var] == os.environ.get(var)
 
 
+def test_run_json_is_strict_json_after_an_empty_val_split(work, tmp_path):
+    out = tmp_path / "noval"
+    assert cli.main(["pretrain", "--data", work["data"], "--out", str(out),
+                     "--set", "pretrain.epochs=1", "--set", "pretrain.val_size=0",
+                     "--set", "pretrain.train_size=100"]) == 0
+
+    def reject(name):
+        raise ValueError(f"run.json holds {name}")
+
+    with open(out / "run.json") as fh:
+        manifest = json.load(fh, parse_constant=reject)
+    assert manifest["final_val_acc"] is None
+
+
 def tree_digest(root):
     import hashlib
     h = hashlib.sha256()
@@ -554,6 +568,8 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     ("pretrain", ["--set", "image_model.stages=conv 3 16 1 1 1 0.25"],
      "image_model.stages: stage kind must be mbconv, got 'conv'; "
      "got 'conv 3 16 1 1 1 0.25'"),
+    ("pretrain", ["--set", "image_model.stages="],
+     "image_model.stages must list at least one stage"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,

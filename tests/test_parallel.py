@@ -63,6 +63,37 @@ def test_ring_handles_vectors_shorter_than_k(size):
         np.testing.assert_allclose(out, np.full(size, 6.0))
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ring_sums_each_chunk_in_ring_order(k):
+    """Chunk c (bounds as np.array_split) is summed as x_c + x_{c+1} + ...
+    + x_{c+k-1}, left to right, rows taken mod k."""
+    rng = np.random.default_rng(k)
+    for size in (1, k - 1, k, k + 1, 3 * k + 2, 101):
+        vectors = [rng.normal(size=size) * 10.0 ** rng.integers(-6, 7)
+                   for _ in range(k)]
+        chunks = [np.array_split(v, k) for v in vectors]
+        expect = []
+        for c in range(k):
+            total = chunks[c][c].copy()
+            for p in range(1, k):
+                total = total + chunks[(c + p) % k][c]
+            expect.append(total)
+        expect = np.concatenate(expect)
+        for out in ring_allreduce(vectors):
+            assert np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_ring_reduces_a_block_in_place(k):
+    rng = np.random.default_rng(k)
+    block = rng.normal(size=(k, 23))
+    expect = ring_allreduce(list(block))
+    outs = ring_allreduce(block)
+    for w in range(k):
+        assert np.array_equal(block[w], expect[w])
+        assert np.shares_memory(outs[w], block[w])
+
+
 def test_ring_input_validation():
     with pytest.raises(ValueError):
         ring_allreduce([])
@@ -91,7 +122,7 @@ def run_watched(target, timeout=60):
     return outcome.get("error")
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_collective_matches_ring_allreduce(k):
     """Back-to-back exchanges of changing lengths, some shorter than k, with
     the last arrival rotating between workers; each worker checks its own
