@@ -77,7 +77,7 @@ def _scaled_dims(cfg: Config) -> ScaledDims:
                           cfg.getint("image_model", "base_input_size"))
     if cfg.get("image_model", "input_size").strip():
         dims = dataclasses.replace(
-            dims, input_size=cfg.getint("image_model", "input_size"))
+            dims, input_size=cfg.getint("image_model", "input_size", minimum=2))
     return dims
 
 
@@ -92,8 +92,8 @@ def _build_image_net(cfg: Config, corpus: Corpus, seed: int):
         in_channels=corpus.documents[0].image.shape[0],
         seed=seed,
         dropout_rate=dropout,
-        stem_channels=cfg.getint("image_model", "stem_channels"),
-        head_channels=cfg.getint("image_model", "head_channels"))
+        stem_channels=cfg.getint("image_model", "stem_channels", minimum=1),
+        head_channels=cfg.getint("image_model", "head_channels", minimum=1))
 
 
 def _text_max_len(cfg: Config, corpus: Corpus) -> int:
@@ -293,7 +293,7 @@ def cmd_train_text(args, cfg: Config) -> int:
             f"full batches of {global_batch}")
     decay = cfg.build(LayerwiseDecayConfig, "text")
     adam = cfg.build(AdamConfig, "text")
-    rates = group_lrs(decay, cfg.getint("text_model", "num_layers"))
+    rates = group_lrs(decay, cfg.getint("text_model", "num_layers", minimum=1))
 
     def opt_factory(net):
         return AdamOptimizer(net, decay.eta_body, adam, group_rates=rates)

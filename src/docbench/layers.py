@@ -116,7 +116,7 @@ class Linear(Layer):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x, ctx):
-        return x @ self.weight + self.bias
+        return ops.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Layer):
@@ -245,28 +245,17 @@ class MBConv(Layer):
 class MultiHeadSelfAttention(Layer):
     def __init__(self, hidden, heads, dropout_rate, rng):
         super().__init__()
-        if hidden % heads:
-            raise ValueError(f"hidden {hidden} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = hidden // heads
         self.rate = dropout_rate
         self.q = Linear(hidden, hidden, rng, std=0.02)
         self.k = Linear(hidden, hidden, rng, std=0.02)
         self.v = Linear(hidden, hidden, rng, std=0.02)
         self.out = Linear(hidden, hidden, rng, std=0.02)
 
-    def _split(self, t, b, n):
-        return t.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def __call__(self, x, bias, ctx: Ctx):
-        b, n, hidden = x.shape
-        q = self._split(self.q(x, ctx), b, n)
-        k = self._split(self.k(x, ctx), b, n)
-        v = self._split(self.v(x, ctx), b, n)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim)) + bias
-        probs = ops.softmax(scores, axis=-1)
-        probs = ops.dropout(probs, self.rate, ctx.rng, ctx.training and not self.frozen)
-        merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, n, hidden)
+        merged = ops.attention(self.q(x, ctx), self.k(x, ctx), self.v(x, ctx), bias,
+                               self.heads, self.rate, ctx.rng,
+                               ctx.training and not self.frozen)
         return self.out(merged, ctx)
 
 
@@ -434,7 +423,7 @@ class TextNetwork(Network):
     def logits(self, ids, ctx: Ctx, mask):
         mask = np.asarray(mask, dtype=np.float64)
         bias = (mask - 1.0) * 1e9  # -1e9 on padding, 0 on real tokens
-        bias = Tensor(bias.reshape(bias.shape[0], 1, 1, bias.shape[1]))
+        bias = bias.reshape(bias.shape[0], 1, 1, bias.shape[1])
         x = self.group("embedding")(ids, ctx)
         for name, group in self._children.items():
             if name.startswith("layer_"):

@@ -3,7 +3,8 @@
 Dense convolutions use an im2col layout so the heavy lifting lands in BLAS
 matmuls (a 1x1 filter at stride 1 needs none: its input already is the column
 matrix); depthwise convolution sums strided tap views instead.  Batch and
-layer norm are single ops with the closed-form backward.
+layer norm, the affine map (``linear``: one 2-D GEMM whatever x's leading
+axes) and multi-head attention are single ops with the closed-form backward.
 """
 
 from __future__ import annotations
@@ -135,6 +136,22 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return x.mean(axis=(2, 3))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b`` on the last axis of ``x``, with x's leading axes run as
+    the rows of one 2-D GEMM."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = x2 @ w.data
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(out.shape)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return Tensor.from_op("linear", (x, w, b), out.reshape(*x.shape[:-1], -1), vjp)
+
+
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x), fused."""
     s = _sigmoid(x.data)
@@ -188,18 +205,78 @@ def softmax_crossentropy(logits: Tensor, labels) -> Tensor:
                           np.asarray(loss, dtype=logits.dtype), vjp)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate); identity at eval."""
+def _keep_mask(shape, dtype, rate, rng, training):
+    """Inverted-dropout multiplier of ``shape`` (kept units 1/(1-rate), the
+    rest 0) drawn from ``rng``, or None when nothing is dropped."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
+            training: bool = True) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-rate); identity at eval."""
+    keep = _keep_mask(x.shape, x.dtype, rate, rng, training)
+    if keep is None:
+        return x
     out = x.data * keep
     return Tensor.from_op("dropout", (x,), out, lambda g: (g * keep,))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, heads: int, rate: float,
+              rng: np.random.Generator | None = None,
+              training: bool = True) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, N, hidden)
+    projections as one tape node.
+
+    Splits ``heads`` heads, adds the constant ``bias`` (broadcast against the
+    (B, heads, N, N) scores; the padding mask) to the scaled scores, takes the
+    max-shifted softmax over keys, applies inverted dropout to the
+    probabilities (drawn from ``rng`` as :func:`dropout` draws it) and merges
+    the heads back to (B, N, hidden).
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal (B,N,hidden) q, k, v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    b, n, hidden = q.shape
+    if heads < 1 or hidden % heads:
+        raise ShapeError(f"hidden {hidden} not divisible by {heads} heads")
+    d = hidden // heads
+
+    def split(t):  # (B, N, hidden) -> (B, heads, N, d) view
+        return t.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, heads, N, d) -> (B, N, hidden)
+        return t.transpose(0, 2, 1, 3).reshape(b, n, hidden)
+
+    qh, kt, vh = split(q.data), split(k.data).transpose(0, 1, 3, 2), split(v.data)
+    scale = 1.0 / np.sqrt(d)
+    scores = qh @ kt
+    scores *= scale
+    scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(probs.shape, probs.dtype, rate, rng, training)
+    dropped = probs if keep is None else probs * keep
+
+    def vjp(g):
+        gh = split(g)
+        dprobs = gh @ np.swapaxes(vh, -1, -2)
+        if keep is not None:
+            dprobs *= keep
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+        dscores *= scale
+        dkt = np.swapaxes(qh, -1, -2) @ dscores  # (B, heads, d, N)
+        return (merge(dscores @ np.swapaxes(kt, -1, -2)),
+                dkt.transpose(0, 3, 1, 2).reshape(b, n, hidden),
+                merge(np.swapaxes(dropped, -1, -2) @ gh))
+
+    return Tensor.from_op("attention", (q, k, v), merge(dropped @ vh), vjp)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

@@ -26,8 +26,9 @@ class TextEncoderSpec:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError(f"need at least 1 layer, got {self.num_layers}")
+        for key in ("num_layers", "hidden", "heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.hidden % self.heads:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by heads {self.heads}")

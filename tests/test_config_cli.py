@@ -570,6 +570,20 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
      "got 'conv 3 16 1 1 1 0.25'"),
     ("pretrain", ["--set", "image_model.stages="],
      "image_model.stages must list at least one stage"),
+    ("train-text", ["--set", "text_model.heads=0"],
+     "text_model.heads must be >= 1, got 0"),
+    ("train-text", ["--set", "text_model.hidden=0"],
+     "text_model.hidden must be >= 1, got 0"),
+    ("train-text", ["--set", "text_model.hidden=-4"],
+     "text_model.hidden must be >= 1, got -4"),
+    ("train-text", ["--set", "text_model.num_layers=0"],
+     "text_model.num_layers must be >= 1, got 0"),
+    ("pretrain", ["--set", "image_model.input_size=0"],
+     "image_model.input_size must be >= 2, got 0"),
+    ("pretrain", ["--set", "image_model.stem_channels=0"],
+     "image_model.stem_channels must be >= 1, got 0"),
+    ("pretrain", ["--set", "image_model.head_channels=-1"],
+     "image_model.head_channels must be >= 1, got -1"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,

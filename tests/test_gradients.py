@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from docbench import ops
-from docbench.layers import Ctx, MBConv
+from docbench.layers import Ctx, MBConv, TransformerBlock
 from docbench.tensor import Tensor
 from helpers import fd_gradcheck
 
@@ -61,6 +61,40 @@ def test_matmul_batched(seed):
     fd_gradcheck(lambda x, y: x @ y,
                  [rng.standard_normal((b, m, k)), rng.standard_normal((k, n))],
                  rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_linear(seed):
+    rng = np.random.default_rng(seed)
+    b, t, m, n = rand_shape(rng, 4, 1, 4)
+    w, bias = rng.standard_normal((m, n)), rng.standard_normal(n)
+    fd_gradcheck(ops.linear, [rng.standard_normal((b, m)), w, bias], rng=rng)
+    # leading axes flattened into one GEMM, as the text model runs it
+    fd_gradcheck(ops.linear, [rng.standard_normal((b, t, m)), w, bias], rng=rng)
+
+
+def padding_bias(rng, b, n):
+    """(B,1,1,N) attention bias: -1e9 on padded keys, 0 on real ones; key 0
+    is always real."""
+    mask = np.ones((b, n))
+    for row in mask:
+        row[int(rng.integers(1, n + 1)):] = 0.0
+    return ((mask - 1.0) * 1e9).reshape(b, 1, 1, n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attention(seed):
+    rng = np.random.default_rng(seed)
+    b, n, heads, d = rand_shape(rng, 4, 1, 3)
+    n += 1
+    qkv = [rng.standard_normal((b, n, heads * d)) for _ in range(3)]
+    bias = padding_bias(rng, b, n)
+    fd_gradcheck(lambda q, k, v: ops.attention(q, k, v, bias, heads, 0.0),
+                 qkv, rng=rng)
+    # fresh identically-seeded generator per call => identical mask each eval
+    fd_gradcheck(lambda q, k, v: ops.attention(
+        q, k, v, bias, heads, 0.3, np.random.default_rng(seed), training=True),
+        qkv, rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -254,6 +288,22 @@ def test_mbconv_rerun_is_bit_identical():
         block = MBConv(4, 4, 6, 3, 1, 0.25, rng=np.random.default_rng(6))
         x = Tensor(rng.standard_normal((3, 4, 6, 6)), requires_grad=True)
         out = block(x, Ctx(training=True))
+        (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+        return [out.data, x.grad] + [p.grad for _, p in block.named_params()]
+
+    first, second = run(), run()
+    assert len(first) == len(second) > 2
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+def test_transformer_block_rerun_is_bit_identical():
+    def run():
+        rng = np.random.default_rng(5)
+        block = TransformerBlock(8, 2, 0.2, rng=np.random.default_rng(6))
+        x = Tensor(rng.standard_normal((3, 5, 8)), requires_grad=True)
+        out = block(x, padding_bias(rng, 3, 5),
+                    Ctx(training=True, rng=np.random.default_rng(7)))
         (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
         return [out.data, x.grad] + [p.grad for _, p in block.named_params()]
 

@@ -201,6 +201,62 @@ class TestFusedNorms:
         assert {p.op for p in out.parents} == {"leaf"}
 
 
+def _composite_attention(q, k, v, bias, heads, rate, rng):
+    """Training-mode multi-head attention from primitive Tensor ops."""
+    b, n, hidden = q.shape
+    d = hidden // heads
+
+    def split(t):
+        return t.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
+
+    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+    probs = ops.dropout(ops.softmax(scores + Tensor(bias), axis=-1), rate, rng)
+    return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(b, n, hidden)
+
+
+class TestFusedTextOps:
+    @pytest.mark.parametrize("lead", [(5,), (3, 4)])
+    def test_linear_matches_composite(self, lead):
+        rng = np.random.default_rng(2)
+        arrays = [rng.standard_normal((*lead, 6)), rng.standard_normal((6, 7)),
+                  rng.standard_normal(7)]
+        proj = Tensor(rng.standard_normal((*lead, 7)))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            out = ops.linear(x, w, b) if fused else x @ w + b
+            (out * proj).sum().backward()
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for a, b in zip(*results):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_attention_matches_composite(self, rate):
+        rng = np.random.default_rng(3)
+        b, n, heads, hidden = 3, 5, 2, 8
+        arrays = [rng.standard_normal((b, n, hidden)) for _ in range(3)]
+        mask = np.ones((b, n))
+        mask[1, 3:] = mask[2, 1:] = 0.0
+        bias = ((mask - 1.0) * 1e9).reshape(b, 1, 1, n)
+        proj = Tensor(rng.standard_normal((b, n, hidden)))
+        results = []
+        for fused in (True, False):
+            drops = np.random.default_rng(11)
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            if fused:
+                out = ops.attention(q, k, v, bias, heads, rate, drops)
+            else:
+                out = _composite_attention(q, k, v, bias, heads, rate, drops)
+            (out * proj).sum().backward()
+            # the mask is drawn at the same point of the stream
+            results.append((out.data, q.grad, k.grad, v.grad, drops.random(3)))
+        fused, composite = results
+        for a, b in zip(fused[:4], composite[:4]):
+            assert np.max(np.abs(a - b)) < 1e-12
+        assert np.array_equal(fused[4], composite[4])
+
+
 class TestSoftmaxCrossentropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((3, 16)))
@@ -282,7 +338,7 @@ class TestBackward:
             assert all(position[id(p)] < i for p in t.parents)
         assert order[-1] is y
 
-    @pytest.mark.parametrize("model,nodes", [("image", 106), ("text", 118)])
+    @pytest.mark.parametrize("model,nodes", [("image", 99), ("text", 74)])
     def test_desk_training_tape_size(self, model, nodes):
         """The benchmark's tensor.tape_nodes is len(trace(loss)) of one desk
         training step."""
