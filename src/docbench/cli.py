@@ -192,14 +192,12 @@ def _write_training(command: str, args, cfg: Config, started: float, net,
 
 def cmd_gen_data(args, cfg: Config) -> int:
     started = time.time()
-    spec = _corpus_spec(cfg)
-    out = _ensure_out(args.out)
-    corpus = generate_corpus(spec, args.seed)
-    save_corpus(corpus, out)
-    _write_manifest(out, "gen-data", args, cfg,
-                    {"corpus_index": os.path.join(out, "manifest.json")},
+    corpus = generate_corpus(_corpus_spec(cfg), args.seed)
+    save_corpus(corpus, args.out)
+    _write_manifest(args.out, "gen-data", args, cfg,
+                    {"corpus_index": os.path.join(args.out, "manifest.json")},
                     started, extra={"documents": len(corpus)})
-    print(f"gen-data: wrote {len(corpus)} documents to {out}")
+    print(f"gen-data: wrote {len(corpus)} documents to {args.out}")
     return 0
 
 

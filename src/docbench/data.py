@@ -7,6 +7,10 @@ distribution, except that with probability 1-rho the text is drawn from a
 uniformly random class instead (modality agreement control).  Optional
 template maps let several classes share a layout in one modality, which caps
 what that modality alone can resolve.
+
+On disk a corpus is two files: ``images.tensors`` holds every image as one
+float64 (D, 1, H, W) tensor, and ``manifest.json`` holds the spec, the seed
+and each document's label, text class and tokens.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ SEP_ID = 3
 NUM_SPECIALS = 4
 
 BACKGROUND = 1.0  # scanned documents are white
+# class_template depends on id mod 5, id mod 2 and (id // 2) mod 4 only, so
+# ids 0..39 are all the distinct layouts there are
+NUM_LAYOUTS = 40
+IMAGES_FILE = "images.tensors"
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,14 @@ class CorpusSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        if self.num_classes > NUM_LAYOUTS:
+            raise ValueError(f"num_classes must be <= {NUM_LAYOUTS}, the number of "
+                             f"distinct page layouts, got {self.num_classes}")
         if min(self.class_counts, default=0) < 1:
             raise ValueError("docs_per_class must list at least one count, each >= 1")
+        if len(self.class_counts) != self.num_classes:
+            raise ValueError(f"docs_per_class must list one count per class "
+                             f"({self.num_classes}), got {len(self.class_counts)}")
         if self.image_size < 8:
             raise ValueError(f"image_size must be >= 8, got {self.image_size}")
         if self.vocab_size < NUM_SPECIALS + self.num_classes:
@@ -86,7 +100,7 @@ class Document:
     image: np.ndarray        # (1, H, W) float in [0, 1]
     tokens: list             # raw content ids (specials added by tokenize)
     label: int
-    text_class: int = -1     # class whose token distribution produced the text
+    text_class: int          # class whose token distribution produced the text
 
 
 @dataclass
@@ -135,14 +149,8 @@ def template_token_probs(template_id: int, num_templates: int, vocab_size: int,
 
 def generate_corpus(spec: CorpusSpec, seed: int) -> Corpus:
     """Deterministic synthesis: same (spec, seed) -> bit-identical corpus."""
-    size = spec.image_size
-    used = sorted({spec.image_template(c) for c in range(spec.num_classes)})
-    rendered = {t: class_template(t, size) for t in used}
-    for i, a in enumerate(used):
-        for b in used[i + 1:]:
-            if np.array_equal(rendered[a], rendered[b]):
-                raise ValueError(f"template collision between ids {a} and {b}")
-
+    rendered = {t: class_template(t, spec.image_size)
+                for t in {spec.image_template(c) for c in range(spec.num_classes)}}
     token_probs = {
         t: template_token_probs(t, spec.num_classes, spec.vocab_size, spec.text_noise)
         for t in range(spec.num_classes)}
@@ -299,47 +307,42 @@ def make_splits(corpus: Corpus, n_splits: int, train_size: int, val_size: int,
 
 
 def save_corpus(corpus: Corpus, out_dir: str):
-    """Directory layout: manifest.json + one image tensor file and one token
-    file per document, each written atomically."""
-    images = os.path.join(out_dir, "images")
-    tokens = os.path.join(out_dir, "tokens")
-    os.makedirs(images, exist_ok=True)
-    os.makedirs(tokens, exist_ok=True)
-    index = []
-    for i, doc in enumerate(corpus.documents):
-        image_file = f"images/doc_{i:05d}.bin"
-        token_file = f"tokens/doc_{i:05d}.json"
-        save_tensors(os.path.join(out_dir, image_file), {"image": doc.image})
-        with atomic_write(os.path.join(out_dir, token_file)) as fh:
-            json.dump([int(t) for t in doc.tokens], fh)
-        index.append({"id": i, "label": int(doc.label),
-                      "text_class": int(doc.text_class),
-                      "image": image_file, "tokens": token_file})
-    manifest = {"spec": asdict(corpus.spec), "seed": corpus.seed,
-                "documents": index}
+    """Write ``images.tensors`` (meta: spec and seed) and then
+    ``manifest.json`` into ``out_dir``, each atomically."""
+    os.makedirs(out_dir, exist_ok=True)
+    head = {"spec": asdict(corpus.spec), "seed": corpus.seed}
+    save_tensors(os.path.join(out_dir, IMAGES_FILE),
+                 {"images": np.stack([d.image for d in corpus.documents])}, head)
+    index = [{"id": i, "label": int(d.label), "text_class": int(d.text_class),
+              "tokens": [int(t) for t in d.tokens]}
+             for i, d in enumerate(corpus.documents)]
     with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+        json.dump({**head, "documents": index}, fh, sort_keys=True, indent=1)
 
 
 def load_corpus(corpus_dir: str) -> Corpus:
+    """Inverse of :func:`save_corpus`; fails naming the images file when its
+    spec, seed or row count disagrees with the manifest.  Each document's
+    image is a view into the one loaded array."""
     with open(os.path.join(corpus_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
+    path = os.path.join(corpus_dir, IMAGES_FILE)
+    arrays, meta = load_tensors(path)
+    images, entries = arrays.get("images"), manifest["documents"]
+    if (meta != {"spec": manifest["spec"], "seed": manifest["seed"]}
+            or images is None or len(images) != len(entries)):
+        raise ValueError(f"{path}: does not match manifest.json (other spec, seed "
+                         f"or document count); regenerate the corpus with gen-data")
     raw = dict(manifest["spec"])
     for key in ("image_template_map", "text_template_map"):
         if raw.get(key) is not None:
             raw[key] = tuple(raw[key])
     if not isinstance(raw["docs_per_class"], int):
         raw["docs_per_class"] = tuple(raw["docs_per_class"])
-    spec = CorpusSpec(**raw)
-    docs = []
-    for entry in manifest["documents"]:
-        arrays, _ = load_tensors(os.path.join(corpus_dir, entry["image"]))
-        with open(os.path.join(corpus_dir, entry["tokens"])) as fh:
-            toks = json.load(fh)
-        docs.append(Document(image=arrays["image"], tokens=toks,
-                             label=entry["label"],
-                             text_class=entry.get("text_class", -1)))
-    return Corpus(spec=spec, seed=manifest["seed"], documents=docs)
+    docs = [Document(image=image, tokens=e["tokens"], label=e["label"],
+                     text_class=e["text_class"])
+            for image, e in zip(images, entries)]
+    return Corpus(spec=CorpusSpec(**raw), seed=manifest["seed"], documents=docs)
 
 
 # -- minibatch streams ---------------------------------------------------------------

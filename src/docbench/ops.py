@@ -41,7 +41,7 @@ def _tap(a, i, j, stride, out_h, out_w):
 def _window_view(x, field, stride, out_h, out_w):
     """Gather (N,C,F,F,Ho,Wo) windows from a padded (N,C,H,W) array."""
     n, c = x.shape[:2]
-    win = np.empty((n, c, field, field, out_h, out_w), dtype=x.dtype)
+    win = np.empty((n, c, field, field, out_h, out_w))
     for i in range(field):
         for j in range(field):
             win[:, :, i, j] = _tap(x, i, j, stride, out_h, out_w)
@@ -50,7 +50,7 @@ def _window_view(x, field, stride, out_h, out_w):
 
 def _window_scatter(shape, dwin, field, stride, out_h, out_w):
     """Adjoint of :func:`_window_view`: scatter-add windows back."""
-    dx = np.zeros(shape, dtype=dwin.dtype)
+    dx = np.zeros(shape)
     for i in range(field):
         for j in range(field):
             view = _tap(dx, i, j, stride, out_h, out_w)
@@ -108,7 +108,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     xp, top, left, out_h, out_w = _same_pad(x.data, fh, stride)
     taps = w.data[:, 0, :, :, None, None]  # (C, F, F, 1, 1)
 
-    out = np.zeros((n, c, out_h, out_w), dtype=x.dtype)
+    out = np.zeros((n, c, out_h, out_w))
     term = np.empty_like(out)
     for i in range(fh):
         for j in range(fw):
@@ -201,11 +201,10 @@ def softmax_crossentropy(logits: Tensor, labels) -> Tensor:
         d[np.arange(n), labels] -= 1.0
         return (g * d / n,)
 
-    return Tensor.from_op("softmax_crossentropy", (logits,),
-                          np.asarray(loss, dtype=logits.dtype), vjp)
+    return Tensor.from_op("softmax_crossentropy", (logits,), loss, vjp)
 
 
-def _keep_mask(shape, dtype, rate, rng, training):
+def _keep_mask(shape, rate, rng, training):
     """Inverted-dropout multiplier of ``shape`` (kept units 1/(1-rate), the
     rest 0) drawn from ``rng``, or None when nothing is dropped."""
     if not 0.0 <= rate < 1.0:
@@ -214,13 +213,13 @@ def _keep_mask(shape, dtype, rate, rng, training):
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
             training: bool = True) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-rate); identity at eval."""
-    keep = _keep_mask(x.shape, x.dtype, rate, rng, training)
+    keep = _keep_mask(x.shape, rate, rng, training)
     if keep is None:
         return x
     out = x.data * keep
@@ -261,7 +260,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, heads: int, rate: float,
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     probs = e / e.sum(axis=-1, keepdims=True)
-    keep = _keep_mask(probs.shape, probs.dtype, rate, rng, training)
+    keep = _keep_mask(probs.shape, rate, rng, training)
     dropped = probs if keep is None else probs * keep
 
     def vjp(g):

@@ -43,8 +43,10 @@ class AdamConfig:
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0,1), got {b}")
-        if self.epsilon <= 0 or self.weight_decay < 0:
-            raise ValueError("epsilon must be > 0 and weight_decay >= 0")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,9 @@ class LayerwiseDecayConfig:
     xi: float = 0.95
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise ValueError(f"xi must be > 0, got {self.xi}")
-        if self.eta_top <= 0 or self.eta_body <= 0:
-            raise ValueError("eta_top and eta_body must be > 0")
+        for name in ("eta_top", "eta_body", "xi"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def reference_lr(base: float, n: int, k: int) -> float:

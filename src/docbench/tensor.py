@@ -1,8 +1,9 @@
 """Dense tensor with reverse-mode automatic differentiation.
 
-Everything is backed by contiguous numpy arrays in single or double
-precision.  Graphs are built implicitly while computing; ``Tensor.backward``
-extracts the tape in topological order and walks it once in reverse.
+Everything is backed by float64 numpy arrays, the one precision the engine
+computes in and its tensor files store.  Graphs are built implicitly while
+computing; ``Tensor.backward`` extracts the tape in topological order and
+walks it once in reverse.
 Inside ``no_grad()`` nothing is recorded: every op result is a plain leaf.
 """
 
@@ -14,8 +15,6 @@ import os
 
 import numpy as np
 
-_DTYPE_TAGS = {np.dtype(np.float32): "float32", np.dtype(np.float64): "float64"}
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 _FORMAT = "docbench-tensors-v1"
 _recording = True
 
@@ -40,9 +39,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             raise ShapeError(f"zero-extent tensor of shape {arr.shape} rejected")
         self.data = arr
@@ -74,19 +71,11 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
     def _coerce(self, other):
-        if isinstance(other, Tensor):
-            if other.dtype != self.dtype:
-                raise ShapeError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
-            return other
-        return Tensor(np.asarray(other, dtype=self.dtype))
+        return other if isinstance(other, Tensor) else Tensor(other)
 
     # -- elementwise arithmetic (broadcasting) -----------------------------
 
@@ -215,7 +204,7 @@ class Tensor:
     def relu(self):
         a = self
         mask = a.data > 0
-        out = np.where(mask, a.data, 0.0).astype(a.dtype, copy=False)
+        out = np.where(mask, a.data, 0.0)
         return Tensor.from_op("relu", (a,), out, lambda g: (g * mask,))
 
     def sigmoid(self):
@@ -242,7 +231,6 @@ class Tensor:
             for parent, g in zip(t.parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                g = np.asarray(g, dtype=parent.dtype)
                 if parent._vjp is not None:
                     parent.grad = g if parent.grad is None else parent.grad + g
                 elif parent.grad is None:
@@ -315,8 +303,9 @@ def trace(root: Tensor) -> list:
 
 # -- serialization ---------------------------------------------------------------
 #
-# Checkpoint format: one UTF-8 JSON header line describing the named tensors in
-# order, then the raw little-endian payloads concatenated back to back.
+# Tensor file format (checkpoints and corpus images): one UTF-8 JSON header line
+# describing the named float64 tensors in order, then their raw little-endian
+# payloads concatenated back to back.
 
 
 @contextlib.contextmanager
@@ -335,32 +324,30 @@ def atomic_write(path, mode="w"):
 
 
 def save_tensors(path, arrays, meta=None):
-    """Write named arrays as header-JSON + flat little-endian payload,
-    atomically."""
-    entries = []
-    payloads = []
+    """Write named float64 arrays as header-JSON + flat little-endian
+    payload, atomically; any other dtype is refused, naming the tensor."""
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        tag = _DTYPE_TAGS.get(arr.dtype)
-        if tag is None:
-            raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": tag})
-        payloads.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-    header = {"format": _FORMAT, "tensors": entries}
+        if arr.dtype != np.float64:
+            raise ValueError(f"tensor {name!r} is {arr.dtype}, not float64")
+    header = {"format": _FORMAT, "tensors": [
+        {"name": name, "shape": list(arr.shape), "dtype": "float64"}
+        for name, arr in arrays.items()]}
     if meta is not None:
         header["meta"] = meta
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for blob in payloads:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_tensors(path):
     """Inverse of :func:`save_tensors`; returns ``(arrays, meta)``.
 
     Raises ``ValueError`` naming ``path`` on a damaged header, an unknown
-    format or dtype tag, a short payload, or bytes after the last payload.
+    format, a dtype tag other than float64, a bad shape, a short payload, or
+    bytes after the last payload.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -373,19 +360,20 @@ def load_tensors(path):
             raise ValueError(f"{path}: not a docbench tensor file")
         arrays = {}
         for entry in header.get("tensors", []):
-            name = entry.get("name")
-            dtype = _TAG_DTYPES.get(entry.get("dtype"))
-            if dtype is None:
-                raise ValueError(f"{path}: tensor {name!r} has unknown dtype tag")
-            dtype = dtype.newbyteorder("<")
-            shape = tuple(entry["shape"])
-            size = int(np.prod(shape)) * dtype.itemsize
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise ValueError(f"{path}: tensor {name!r} needs {size} bytes, "
-                                 f"file has {len(raw)} left")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            arrays[name] = arr.astype(dtype.newbyteorder("="))
+            name, tag = entry.get("name"), entry.get("dtype")
+            if tag != "float64":
+                raise ValueError(f"{path}: tensor {name!r} has unknown dtype tag "
+                                 f"{tag!r}, expected 'float64'")
+            try:
+                arr = np.empty(entry.get("shape"), dtype="<f8")
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: tensor {name!r} has bad shape "
+                                 f"{entry.get('shape')!r}") from None
+            got = fh.readinto(arr)  # straight into the array: no second buffer
+            if got != arr.nbytes:
+                raise ValueError(f"{path}: tensor {name!r} needs {arr.nbytes} bytes, "
+                                 f"file has {got} left")
+            arrays[name] = arr
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last tensor")
     return arrays, header.get("meta")

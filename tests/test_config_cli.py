@@ -215,15 +215,17 @@ def test_gen_data_writes_manifest_and_corpus(work):
     assert m["seed"] == 0
     assert m["documents"] == 160
     assert m["config"]["corpus"]["num_classes"] == "4"
-    index = os.path.join(work["data"], m["artifacts"]["corpus_index"])
-    assert os.path.exists(index)
-    with open(index) as fh:
-        docs = json.load(fh)["documents"]
-    assert len(docs) == 160
-    # the run manifest points at the index; the index points at every payload
-    for entry in docs[:3]:
-        assert os.path.exists(os.path.join(work["data"], entry["image"]))
-        assert os.path.exists(os.path.join(work["data"], entry["tokens"]))
+    assert m["artifacts"]["corpus_index"] == "manifest.json"
+    assert sorted(os.listdir(work["data"])) == ["images.tensors", "manifest.json",
+                                                "run.json"]
+    with open(os.path.join(work["data"], "manifest.json")) as fh:
+        index = json.load(fh)
+    assert len(index["documents"]) == 160
+    assert [d["id"] for d in index["documents"]] == list(range(160))
+    arrays, meta = load_tensors(os.path.join(work["data"], "images.tensors"))
+    assert list(arrays) == ["images"]
+    assert arrays["images"].shape == (160, 1, 32, 32)
+    assert meta == {"spec": index["spec"], "seed": 0}
 
 
 def test_run_json_records_its_environment(work):
@@ -454,7 +456,7 @@ def test_ensemble_eval_empty_split_fails_before_loading_checkpoints(
 @pytest.mark.parametrize("command", ["finetune", "ensemble-eval"])
 def test_non_network_tensor_file_is_refused_naming_it(work, tmp_path, capsys,
                                                       command):
-    image = os.path.join(work["data"], "images", "doc_00000.bin")
+    image = os.path.join(work["data"], "images.tensors")
     out = tmp_path / "out"
     argv = [command, "--data", work["data"], "--out", str(out)]
     if command == "finetune":
@@ -584,6 +586,19 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
      "image_model.stem_channels must be >= 1, got 0"),
     ("pretrain", ["--set", "image_model.head_channels=-1"],
      "image_model.head_channels must be >= 1, got -1"),
+    ("gen-data", ["--set", "corpus.docs_per_class=40 40 40 40 40 40"],
+     "corpus.docs_per_class must list one count per class (4), got 6"),
+    ("gen-data", ["--set", "corpus.docs_per_class=40 40"],
+     "corpus.docs_per_class must list one count per class (4), got 2"),
+    ("gen-data", ["--set", "corpus.num_classes=41", "--set", "corpus.vocab_size=64"],
+     "corpus.num_classes must be <= 40, the number of distinct page layouts, "
+     "got 41"),
+    ("train-text", ["--set", "text.weight_decay=-1"],
+     "text.weight_decay must be >= 0, got -1.0"),
+    ("train-text", ["--set", "text.epsilon=0"], "text.epsilon must be > 0, got 0.0"),
+    ("train-text", ["--set", "text.eta_body=0"], "text.eta_body must be > 0, got 0.0"),
+    ("train-text", ["--set", "text.eta_top=-1e-6"],
+     "text.eta_top must be > 0, got -1e-06"),
 ])
 def test_bad_config_fails_up_front_naming_its_key(work, tmp_path, capsys,
                                                   monkeypatch, command, flags,
@@ -648,3 +663,22 @@ def test_unknown_profile_fails_cleanly(tmp_path):
                    "--config", "warehouse", must_pass=False)
     assert proc.returncode == 1
     assert proc.stderr.strip().startswith("error:")
+
+
+def test_readme_library_example_trains(tmp_path):
+    """The README's "Library use" block runs as written and learns."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    script = tmp_path / "example.py"
+    script.write_text(block.split("```", 1)[0] + (
+        "import json\n"
+        "print(json.dumps([[r['train_loss'] for r in metrics], val]))\n"))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    losses, val = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(losses) == 4 and all(np.isfinite(losses))
+    assert losses[-1] < losses[0] / 2
+    assert 0.5 <= val <= 1.0

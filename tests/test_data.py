@@ -9,11 +9,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from docbench.data import (BACKGROUND, CLS_ID, NUM_SPECIALS, PAD_ID, SEP_ID,
-                           AugmentConfig, CorpusSpec, ImageLoader, TextLoader,
-                           class_template, generate_corpus, load_corpus,
-                           make_splits, resize, save_corpus, shear,
-                           template_token_probs, tokenize)
+from docbench import tensor
+from docbench.data import (BACKGROUND, CLS_ID, NUM_LAYOUTS, NUM_SPECIALS,
+                           PAD_ID, SEP_ID, AugmentConfig, CorpusSpec,
+                           ImageLoader, TextLoader, class_template,
+                           generate_corpus, load_corpus, make_splits, resize,
+                           save_corpus, shear, template_token_probs, tokenize)
 
 
 def small_spec(**kw):
@@ -42,6 +43,19 @@ def test_spec_validation():
         small_spec(image_template_map=(0, 1, 2))  # wrong length
     with pytest.raises(ValueError):
         small_spec(text_template_map=(0, 1, 2, 9))  # out of range
+    with pytest.raises(ValueError, match="^docs_per_class must list one count "
+                                         r"per class \(4\), got 2$"):
+        small_spec(docs_per_class=(3, 5))
+    with pytest.raises(ValueError, match=f"^num_classes must be <= {NUM_LAYOUTS}"):
+        small_spec(num_classes=NUM_LAYOUTS + 1, vocab_size=64)
+
+
+def test_there_are_exactly_num_layouts_page_layouts():
+    """Every class id below NUM_LAYOUTS has its own layout at the smallest
+    image size, and the layouts repeat after that."""
+    layouts = [class_template(t, 8).tobytes() for t in range(NUM_LAYOUTS + 1)]
+    assert len(set(layouts[:NUM_LAYOUTS])) == NUM_LAYOUTS
+    assert layouts[NUM_LAYOUTS] == layouts[0]
 
 
 def test_class_templates_are_distinct_and_deterministic():
@@ -310,19 +324,18 @@ def test_corpus_roundtrip(tmp_path):
 
 def test_save_is_byte_deterministic(tmp_path):
     corpus = generate_corpus(small_spec(), seed=4)
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    save_corpus(corpus, a)
-    save_corpus(corpus, b)
-    for name in sorted(os.listdir(os.path.join(a, "images"))):
-        with open(os.path.join(a, "images", name), "rb") as fa, \
-             open(os.path.join(b, "images", name), "rb") as fb:
-            assert fa.read() == fb.read()
-    with open(os.path.join(a, "manifest.json")) as fh:
+    a, b = tmp_path / "a", tmp_path / "b"
+    save_corpus(corpus, str(a))
+    save_corpus(corpus, str(b))
+    assert sorted(os.listdir(a)) == ["images.tensors", "manifest.json"]
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    with open(a / "manifest.json") as fh:
         manifest = json.load(fh)
     assert len(manifest["documents"]) == len(corpus)
 
 
-@pytest.mark.parametrize("target", ["tokens/doc_00003.json", "manifest.json"])
+@pytest.mark.parametrize("target", ["images.tensors", "manifest.json"])
 def test_failed_corpus_write_keeps_the_previous_file(tmp_path, monkeypatch,
                                                      target):
     """A write that raises midway leaves the file as it was and no temporary
@@ -330,19 +343,56 @@ def test_failed_corpus_write_keeps_the_previous_file(tmp_path, monkeypatch,
     out = tmp_path / "corpus"
     save_corpus(generate_corpus(small_spec(), seed=4), str(out))
     before = (out / target).read_bytes()
-    real_dump = json.dump
 
-    def dump(obj, fh, **kwargs):
-        if fh.name.startswith(str(out / target)):
-            fh.write("[")
-            raise OSError("disk full")
-        real_dump(obj, fh, **kwargs)
+    class DiskFull:
+        """The target's temporary file: takes one write, then fails."""
 
-    monkeypatch.setattr(json, "dump", dump)
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            if self.writes:
+                raise OSError("disk full")
+            self.writes += 1
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def opener(path, mode="r"):
+        fh = open(path, mode)
+        return DiskFull(fh) if path.startswith(str(out / target)) else fh
+
+    monkeypatch.setattr(tensor, "open", opener, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_corpus(generate_corpus(small_spec(), seed=5), str(out))
     assert (out / target).read_bytes() == before
     assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("other", [dict(seed=5), dict(docs_per_class=10)],
+                         ids=["seed", "spec"])
+def test_images_of_another_corpus_fail_naming_the_file(tmp_path, other):
+    """A directory whose two files come from different (spec, seed) pairs,
+    as a half-finished overwrite leaves it, does not load."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    save_corpus(generate_corpus(small_spec(), seed=4), str(a))
+    seed = other.pop("seed", 4)
+    save_corpus(generate_corpus(small_spec(**other), seed=seed), str(b))
+    os.replace(b / "images.tensors", a / "images.tensors")
+    with pytest.raises(ValueError, match="does not match manifest.json") as info:
+        load_corpus(str(a))
+    assert str(info.value).startswith(f"{a / 'images.tensors'}: ")
+
+
+def test_corpus_without_images_file_fails_naming_it(tmp_path):
+    save_corpus(generate_corpus(small_spec(), seed=4), str(tmp_path))
+    os.remove(tmp_path / "images.tensors")
+    with pytest.raises(FileNotFoundError, match="images.tensors"):
+        load_corpus(str(tmp_path))
 
 
 # -- loaders --------------------------------------------------------------------------

@@ -444,17 +444,26 @@ class TestFiniteForward:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        arrays = {
-            "w": rng.standard_normal((3, 4)),
-            "b": rng.standard_normal(4).astype(np.float32),
-        }
+        arrays = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4),
+                  "s": np.float64(2.5)}
         path = tmp_path / "ckpt.bin"
         save_tensors(path, arrays, meta={"kind": "test"})
         loaded, meta = load_tensors(path)
         assert meta == {"kind": "test"}
         for name, arr in arrays.items():
-            assert loaded[name].dtype == arr.dtype
+            assert loaded[name].dtype == np.float64
             assert np.array_equal(loaded[name], arr)
+
+    def test_float64_is_the_only_dtype(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(ValueError, match="^tensor 'b' is float32, not float64$"):
+            save_tensors(path, {"w": np.ones(2), "b": np.ones(2, dtype=np.float32)})
+        assert not path.exists()
+        save_tensors(path, {"w": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b'"float64"', b'"float32"'))
+        with pytest.raises(ValueError, match="tensor 'w' has unknown dtype tag "
+                                             "'float32', expected 'float64'"):
+            load_tensors(path)
 
     def test_payload_is_little_endian_flat(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -492,8 +501,10 @@ class TestSerialization:
         (lambda raw: raw.replace(b"docbench-tensors-v1", b"docbench-tensors-v9"),
          "not a docbench tensor file"),
         (lambda raw: raw.replace(b'"float64"', b'"float16"', 1), "unknown dtype"),
+        (lambda raw: raw.replace(b"[20, 20]", b"[-20, 20]"),
+         r"'w' has bad shape \[-20, 20\]"),
     ], ids=["truncated-payload", "truncated-header", "trailing-bytes",
-            "format-tag", "dtype-tag"])
+            "format-tag", "dtype-tag", "negative-shape"])
     def test_damaged_file_names_the_path(self, tmp_path, edit, match):
         path = self._damaged(tmp_path, edit)
         with pytest.raises(ValueError, match=match) as info:
