@@ -423,7 +423,8 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())
     _write_manifest(out, "bench-scaling", args, cfg, {"scaling": csv_path},
-                    started, extra={"k_list": list(k_list), "n": n})
+                    started, extra={"k_list": list(k_list), "n": n,
+                                    "blas_pinned": report.blas_pinned})
     print(report.to_csv(), end="")
     print(f"context: published 4-worker reference reduced wall time by "
           f"~{REFERENCE_REDUCTION_AT_4:.1f}% (speedup ~{1 / (1 - REFERENCE_REDUCTION_AT_4 / 100):.2f}x)")

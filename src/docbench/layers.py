@@ -242,30 +242,20 @@ class MBConv(Layer):
         return h + x if self.use_residual else h
 
 
-class MultiHeadSelfAttention(Layer):
+class TransformerBlock(Layer):
+    """Post-norm encoder block: self-attention and feed-forward sublayers,
+    each wrapped in dropout + residual + layer norm.  The attention node
+    projects q | k | v with the one (hidden, 3*hidden) ``qkv`` weight; only q
+    and v carry a bias (``qv_bias``)."""
+
     def __init__(self, hidden, heads, dropout_rate, rng):
         super().__init__()
         self.heads = heads
-        self.rate = dropout_rate
-        self.q = Linear(hidden, hidden, rng, std=0.02)
-        self.k = Linear(hidden, hidden, rng, std=0.02)
-        self.v = Linear(hidden, hidden, rng, std=0.02)
+        # three (hidden, hidden) draws laid side by side
+        self.qkv = Tensor(rng.standard_normal((3, hidden, hidden)).transpose(1, 0, 2)
+                          .reshape(hidden, 3 * hidden) * 0.02, requires_grad=True)
+        self.qv_bias = Tensor(np.zeros(2 * hidden), requires_grad=True)
         self.out = Linear(hidden, hidden, rng, std=0.02)
-
-    def __call__(self, x, bias, ctx: Ctx):
-        merged = ops.attention(self.q(x, ctx), self.k(x, ctx), self.v(x, ctx), bias,
-                               self.heads, self.rate, ctx.rng,
-                               ctx.training and not self.frozen)
-        return self.out(merged, ctx)
-
-
-class TransformerBlock(Layer):
-    """Post-norm encoder block: self-attention and feed-forward sublayers,
-    each wrapped in dropout + residual + layer norm."""
-
-    def __init__(self, hidden, heads, dropout_rate, rng):
-        super().__init__()
-        self.attn = MultiHeadSelfAttention(hidden, heads, dropout_rate, rng)
         self.norm1 = LayerNorm(hidden)
         self.ff1 = Linear(hidden, 4 * hidden, rng, std=0.02)
         self.ff2 = Linear(4 * hidden, hidden, rng, std=0.02)
@@ -279,7 +269,9 @@ class TransformerBlock(Layer):
         def drop(t):
             return ops.dropout(t, self.rate, ctx.rng, training)
 
-        h = self.norm1(x + drop(self.attn(x, bias, ctx)), ctx)
+        attn = ops.attention(x, self.qkv, self.qv_bias, bias, self.heads, self.rate,
+                             ctx.rng, training)
+        h = self.norm1(x + drop(self.out(attn, ctx)), ctx)
         ff = self.ff2(self.act(self.ff1(h, ctx), ctx), ctx)
         return self.norm2(h + drop(ff), ctx)
 
@@ -344,6 +336,10 @@ class Network(Layer):
     def trainable_count(self):
         return sum(p.data.size for _, p in self.named_params() if p.requires_grad)
 
+    def __call__(self, *inputs):
+        """Class probabilities: the softmax of ``logits(*inputs)``."""
+        return ops.softmax(self.logits(*inputs), axis=-1)
+
     # -- checkpointing ---------------------------------------------------
 
     def state_arrays(self):
@@ -394,8 +390,10 @@ class ImageNetwork(Network):
         self.num_classes = num_classes
 
     def checkpoint_meta(self):
+        strides = [block.dw.stride for name, stage in self._children.items()
+                   if name.startswith("stage") for block in stage._children.values()]
         return {"model": "image", "num_classes": self.num_classes,
-                "input_size": self.input_size}
+                "input_size": self.input_size, "strides": strides}
 
     def logits(self, x, ctx: Ctx):
         if not isinstance(x, Tensor):
@@ -403,9 +401,6 @@ class ImageNetwork(Network):
         for group in self._children.values():
             x = group(x, ctx)
         return x
-
-    def __call__(self, x, ctx: Ctx):
-        return ops.softmax(self.logits(x, ctx), axis=-1)
 
 
 class TextNetwork(Network):
@@ -418,7 +413,8 @@ class TextNetwork(Network):
 
     def checkpoint_meta(self):
         return {"model": "text", "num_classes": self.num_classes,
-                "max_len": self.group("embedding").max_len}
+                "max_len": self.group("embedding").max_len,
+                "heads": self.group("layer_1").heads}
 
     def logits(self, ids, ctx: Ctx, mask):
         mask = np.asarray(mask, dtype=np.float64)
@@ -429,9 +425,6 @@ class TextNetwork(Network):
             if name.startswith("layer_"):
                 x = group(x, bias, ctx)
         return self.group("head")(x[:, 0], ctx)
-
-    def __call__(self, ids, ctx: Ctx, mask):
-        return ops.softmax(self.logits(ids, ctx, mask), axis=-1)
 
 
 def count_params(net: Layer) -> int:

@@ -4,7 +4,8 @@ Dense convolutions use an im2col layout so the heavy lifting lands in BLAS
 matmuls (a 1x1 filter at stride 1 needs none: its input already is the column
 matrix); depthwise convolution sums strided tap views instead.  Batch and
 layer norm, the affine map (``linear``: one 2-D GEMM whatever x's leading
-axes) and multi-head attention are single ops with the closed-form backward.
+axes) and multi-head self-attention (its q/k/v projection included) are
+single ops with the closed-form backward.
 """
 
 from __future__ import annotations
@@ -226,35 +227,33 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
     return Tensor.from_op("dropout", (x,), out, lambda g: (g * keep,))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias, heads: int, rate: float,
+def attention(x: Tensor, w: Tensor, b: Tensor, bias, heads: int, rate: float,
               rng: np.random.Generator | None = None,
               training: bool = True) -> Tensor:
-    """Multi-head scaled dot-product attention over (B, N, hidden)
-    projections as one tape node.
+    """Multi-head self-attention of (B, N, hidden) ``x`` as one tape node.
 
-    Splits ``heads`` heads, adds the constant ``bias`` (broadcast against the
-    (B, heads, N, N) scores; the padding mask) to the scaled scores, takes the
-    max-shifted softmax over keys, applies inverted dropout to the
-    probabilities (drawn from ``rng`` as :func:`dropout` draws it) and merges
-    the heads back to (B, N, hidden).
+    One GEMM projects x by the (hidden, 3*hidden) ``w`` into q | k | v, and
+    the (2*hidden,) ``b`` shifts q and v; k has no bias, since softmax ignores
+    the q.b_k it would add to all of one query's scores.  The constant
+    ``bias`` (the padding mask, broadcast against the (B, heads, N, N)
+    scores) joins the scaled scores before the max-shifted softmax over keys;
+    dropout on the probabilities draws from ``rng`` as :func:`dropout` does.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention needs equal (B,N,hidden) q, k, v, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    b, n, hidden = q.shape
+    if x.ndim != 3 or w.shape != (x.shape[2], 3 * x.shape[2]) \
+            or b.shape != (2 * x.shape[2],):
+        raise ShapeError(f"attention needs (B,N,hidden) x, (hidden,3*hidden) w and "
+                         f"(2*hidden,) b, got {x.shape}, {w.shape}, {b.shape}")
+    bsz, n, hidden = x.shape
     if heads < 1 or hidden % heads:
         raise ShapeError(f"hidden {hidden} not divisible by {heads} heads")
     d = hidden // heads
-
-    def split(t):  # (B, N, hidden) -> (B, heads, N, d) view
-        return t.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (B, heads, N, d) -> (B, N, hidden)
-        return t.transpose(0, 2, 1, 3).reshape(b, n, hidden)
-
-    qh, kt, vh = split(q.data), split(k.data).transpose(0, 1, 3, 2), split(v.data)
+    x2 = x.data.reshape(-1, hidden)
+    qkv = x2 @ w.data
+    qkv.reshape(-1, 3, hidden)[:, ::2] += b.data.reshape(2, hidden)
+    # (B, heads, N, d) views of the q, k and v columns
+    qh, kh, vh = qkv.reshape(bsz, n, 3, heads, d).transpose(2, 0, 3, 1, 4)
     scale = 1.0 / np.sqrt(d)
-    scores = qh @ kt
+    scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= scale
     scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
@@ -264,18 +263,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, heads: int, rate: float,
     dropped = probs if keep is None else probs * keep
 
     def vjp(g):
-        gh = split(g)
+        gh = g.reshape(bsz, n, heads, d).transpose(0, 2, 1, 3)
         dprobs = gh @ np.swapaxes(vh, -1, -2)
         if keep is not None:
             dprobs *= keep
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dscores *= scale
-        dkt = np.swapaxes(qh, -1, -2) @ dscores  # (B, heads, d, N)
-        return (merge(dscores @ np.swapaxes(kt, -1, -2)),
-                dkt.transpose(0, 3, 1, 2).reshape(b, n, hidden),
-                merge(np.swapaxes(dropped, -1, -2) @ gh))
+        dqkv = np.stack([dscores @ kh, np.swapaxes(dscores, -1, -2) @ qh,
+                         np.swapaxes(dropped, -1, -2) @ gh], axis=2)  # (B,heads,3,N,d)
+        dqkv = dqkv.transpose(0, 3, 2, 1, 4).reshape(-1, 3 * hidden)
+        db = dqkv.reshape(-1, 3, hidden)[:, ::2].sum(axis=0).reshape(-1)
+        return (dqkv @ w.data.T).reshape(x.shape), x2.T @ dqkv, db
 
-    return Tensor.from_op("attention", (q, k, v), merge(dropped @ vh), vjp)
+    out = (dropped @ vh).transpose(0, 2, 1, 3).reshape(bsz, n, hidden)
+    return Tensor.from_op("attention", (x, w, b), out, vjp)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

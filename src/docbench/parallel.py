@@ -286,6 +286,7 @@ def train_parallel(model_factory, opt_factory, loader, loss_fn,
 @dataclass
 class SpeedupReport:
     rows: list  # dicts with k, wall_seconds, samples_per_sec, speedup, efficiency
+    blas_pinned: bool  # whether BLAS pools ran on one thread
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [
@@ -294,13 +295,14 @@ class SpeedupReport:
 
 
 def _blas_single_threaded():
-    """Pin BLAS pools to one thread while measuring, when the knob exists."""
+    """A context pinning BLAS pools to one thread while measuring, and
+    whether it pins: without threadpoolctl it is a null context."""
     try:
         from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
+        return threadpool_limits(limits=1), True
     except ImportError:
         import contextlib
-        return contextlib.nullcontext()
+        return contextlib.nullcontext(), False
 
 
 def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
@@ -320,7 +322,8 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
         raise ValueError(
             f"k_list must start with 1 and have every k >= 1, got {k_list}")
     rows = []
-    with _blas_single_threaded():
+    pin, pinned = _blas_single_threaded()
+    with pin:
         for k in k_list:
             global_batch = n * k
             timed_steps = max(1, round(steps / k))
@@ -335,7 +338,7 @@ def measure_speedup(model_factory, opt_factory, batch_factory, loss_fn, k_list,
             speedup = sps / rows[0]["samples_per_sec"] if rows else 1.0
             rows.append({"k": k, "wall_seconds": wall, "samples_per_sec": sps,
                          "speedup": speedup, "efficiency": speedup / k})
-    return SpeedupReport(rows)
+    return SpeedupReport(rows, pinned)
 
 
 # -- shared loss/eval helpers -------------------------------------------------------

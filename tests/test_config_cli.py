@@ -6,12 +6,14 @@ generated corpus -> pretrained checkpoint -> fine-tune / text / ensemble.
 
 import ast
 import configparser
+import contextlib
 import dataclasses
 import glob
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -432,6 +434,24 @@ def test_ensemble_eval_rejects_swapped_checkpoints(work, tmp_path, capsys):
     assert err.startswith(f"error: {text_ck}: ") and "model" in err
 
 
+@pytest.mark.parametrize("flag,which,expected", [
+    ("text_model.heads=2", "txt", "checkpoint heads is 4, this network needs 2"),
+    ("image_model.stages=mbconv 3 8 1 1 1 0.25\nmbconv 3 16 2 1 6 0.25", "pre",
+     "checkpoint strides is [1, 2, 1], this network needs [1, 1, 1]"),
+])
+def test_ensemble_eval_rejects_a_checkpoint_built_otherwise(work, tmp_path, capsys,
+                                                            flag, which, expected):
+    """Head count and block strides change no tensor shape; the meta holds them."""
+    out = tmp_path / "out"
+    assert cli.main(["ensemble-eval", "--data", work["data"], "--out", str(out),
+                     "--image-checkpoint", os.path.join(work["pre"], "checkpoint.tensors"),
+                     "--text-checkpoint", os.path.join(work["txt"], "checkpoint.tensors"),
+                     "--set", flag]) == 1
+    path = os.path.join(work[which], "checkpoint.tensors")
+    assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,expected", [
     (["splits.per_class_quota=40", "splits.train_size=120", "splits.val_size=40"],
      "splits.per_class_quota puts all 160 documents in train and val, "
@@ -656,6 +676,22 @@ def test_bench_scaling_single_worker(work, tmp_path):
     assert fields[0] == "1"
     assert fields[3] == "1.0000"
     assert "75.4" in proc.stdout
+
+
+@pytest.mark.parametrize("installed", [False, True])
+def test_bench_scaling_records_whether_blas_was_pinned(work, tmp_path, monkeypatch,
+                                                       installed):
+    pins = []
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = lambda limits: pins.append(limits) or contextlib.nullcontext()
+    # None in sys.modules makes the import raise ImportError
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake if installed else None)
+    out = str(tmp_path / "bench")
+    assert cli.main(["bench-scaling", "--data", work["data"], "--out", out,
+                     "--k-list", "1", "--set", "bench.steps=1",
+                     "--set", "bench.warmup=0"]) == 0
+    assert read_manifest(out)["blas_pinned"] is installed
+    assert pins == ([1] if installed else [])
 
 
 def test_unknown_profile_fails_cleanly(tmp_path):

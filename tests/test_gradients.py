@@ -87,14 +87,16 @@ def test_attention(seed):
     rng = np.random.default_rng(seed)
     b, n, heads, d = rand_shape(rng, 4, 1, 3)
     n += 1
-    qkv = [rng.standard_normal((b, n, heads * d)) for _ in range(3)]
+    hidden = heads * d
+    xwb = [rng.standard_normal((b, n, hidden)),
+           rng.standard_normal((hidden, 3 * hidden)), rng.standard_normal(2 * hidden)]
     bias = padding_bias(rng, b, n)
-    fd_gradcheck(lambda q, k, v: ops.attention(q, k, v, bias, heads, 0.0),
-                 qkv, rng=rng)
+    fd_gradcheck(lambda x, w, qv: ops.attention(x, w, qv, bias, heads, 0.0),
+                 xwb, rng=rng)
     # fresh identically-seeded generator per call => identical mask each eval
-    fd_gradcheck(lambda q, k, v: ops.attention(
-        q, k, v, bias, heads, 0.3, np.random.default_rng(seed), training=True),
-        qkv, rng=rng)
+    fd_gradcheck(lambda x, w, qv: ops.attention(
+        x, w, qv, bias, heads, 0.3, np.random.default_rng(seed), training=True),
+        xwb, rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

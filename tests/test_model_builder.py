@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
                                    StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
-from docbench.layers import Ctx, MBConv, count_params
+from docbench.layers import Ctx, MBConv, TransformerBlock, count_params
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
                               round_to_even)
 from docbench.text_encoder import TextEncoderSpec, build_text_encoder
@@ -328,6 +328,22 @@ def test_padding_tokens_have_no_influence():
     p1 = net(ids1, ctx, mask).data
     p2 = net(ids2, ctx, mask).data
     np.testing.assert_allclose(p1, p2, atol=1e-12)
+
+
+def test_transformer_block_qkv_is_three_draws_side_by_side():
+    block = TransformerBlock(8, 2, 0.1, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    draws = [rng.standard_normal((8, 8)) * 0.02 for _ in range(4)]
+    assert np.array_equal(block.qkv.data, np.concatenate(draws[:3], axis=1))
+    assert np.array_equal(block.qv_bias.data, np.zeros(16))
+    # one call takes what the three q, k, v draws took, so what follows is unchanged
+    assert np.array_equal(block.out.weight.data, draws[3])
+
+
+def test_text_attention_has_one_projection_and_no_key_bias():
+    shapes = {name: p.shape for name, p in build_text_encoder(text_spec()).named_params()}
+    assert not [n for n in shapes if "attn." in n or "k.bias" in n]
+    assert shapes["layer_1.qkv"] == (32, 96) and shapes["layer_2.qv_bias"] == (64,)
 
 
 def test_text_spec_validation():

@@ -201,14 +201,18 @@ class TestFusedNorms:
         assert {p.op for p in out.parents} == {"leaf"}
 
 
-def _composite_attention(q, k, v, bias, heads, rate, rng):
-    """Training-mode multi-head attention from primitive Tensor ops."""
-    b, n, hidden = q.shape
+def _composite_attention(x, w, qv, key_bias, bias, heads, rate, rng):
+    """Training-mode multi-head self-attention from primitive Tensor ops,
+    projecting x by w's q | k | v columns with a key bias as well."""
+    b, n, hidden = x.shape
     d = hidden // heads
 
     def split(t):
         return t.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
 
+    q = x @ w[:, :hidden] + qv[:hidden]
+    k = x @ w[:, hidden : 2 * hidden] + key_bias
+    v = x @ w[:, 2 * hidden :] + qv[hidden:]
     scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
     probs = ops.dropout(ops.softmax(scores + Tensor(bias), axis=-1), rate, rng)
     return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(b, n, hidden)
@@ -233,9 +237,13 @@ class TestFusedTextOps:
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_attention_matches_composite(self, rate):
+        """The fused op has no key bias; the composite adds a nonzero one,
+        which softmax ignores, and nothing else differs."""
         rng = np.random.default_rng(3)
         b, n, heads, hidden = 3, 5, 2, 8
-        arrays = [rng.standard_normal((b, n, hidden)) for _ in range(3)]
+        arrays = [rng.standard_normal((b, n, hidden)),
+                  rng.standard_normal((hidden, 3 * hidden)), rng.standard_normal(2 * hidden)]
+        key_bias = Tensor(rng.standard_normal(hidden), requires_grad=True)
         mask = np.ones((b, n))
         mask[1, 3:] = mask[2, 1:] = 0.0
         bias = ((mask - 1.0) * 1e9).reshape(b, 1, 1, n)
@@ -243,18 +251,33 @@ class TestFusedTextOps:
         results = []
         for fused in (True, False):
             drops = np.random.default_rng(11)
-            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            x, w, qv = (Tensor(a, requires_grad=True) for a in arrays)
             if fused:
-                out = ops.attention(q, k, v, bias, heads, rate, drops)
+                out = ops.attention(x, w, qv, bias, heads, rate, drops)
             else:
-                out = _composite_attention(q, k, v, bias, heads, rate, drops)
+                out = _composite_attention(x, w, qv, key_bias, bias, heads, rate, drops)
             (out * proj).sum().backward()
             # the mask is drawn at the same point of the stream
-            results.append((out.data, q.grad, k.grad, v.grad, drops.random(3)))
+            results.append((out.data, x.grad, *np.split(w.grad, 3, axis=1), qv.grad,
+                            drops.random(3)))
         fused, composite = results
-        for a, b in zip(fused[:4], composite[:4]):
+        for a, b in zip(fused[:-1], composite[:-1]):
+            assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
-        assert np.array_equal(fused[4], composite[4])
+        assert np.array_equal(fused[-1], composite[-1])
+        # the key bias's gradient is round-off: its scores shift is a per-row constant
+        assert np.max(np.abs(key_bias.grad)) < 1e-12
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 4), (4, 12), (8,)),        # x without its sequence axis
+        ((2, 3, 4), (4, 8), (8,)),      # q and k columns only
+        ((2, 3, 4), (4, 12), (12,)),    # a key bias too
+    ])
+    def test_attention_rejects_bad_shapes_naming_them(self, shapes):
+        x, w, qv = (Tensor(np.ones(s)) for s in shapes)
+        named = ", ".join(map(str, shapes)).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ShapeError, match=r"^attention needs .*, got " + named + "$"):
+            ops.attention(x, w, qv, 0.0, 2, 0.0)
 
 
 class TestSoftmaxCrossentropy:
@@ -338,7 +361,7 @@ class TestBackward:
             assert all(position[id(p)] < i for p in t.parents)
         assert order[-1] is y
 
-    @pytest.mark.parametrize("model,nodes", [("image", 99), ("text", 74)])
+    @pytest.mark.parametrize("model,nodes", [("image", 99), ("text", 60)])
     def test_desk_training_tape_size(self, model, nodes):
         """The benchmark's tensor.tape_nodes is len(trace(loss)) of one desk
         training step."""
