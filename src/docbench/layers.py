@@ -203,7 +203,7 @@ class SqueezeExcite(Layer):
     def __call__(self, x, ctx):
         pooled = ops.global_avg_pool(x)
         gate = self.expand(self.act(self.reduce(pooled, ctx), ctx), ctx).sigmoid()
-        return x * gate.reshape(gate.shape[0], gate.shape[1], 1, 1)
+        return x * gate.reshape(gate.shape[0], 1, 1, gate.shape[1])
 
 
 class MBConv(Layer):
@@ -333,9 +333,6 @@ class Network(Layer):
         for name, group in self._children.items():
             group.set_frozen(name not in keep)
 
-    def trainable_count(self):
-        return sum(p.data.size for _, p in self.named_params() if p.requires_grad)
-
     def __call__(self, *inputs):
         """Class probabilities: the softmax of ``logits(*inputs)``."""
         return ops.softmax(self.logits(*inputs), axis=-1)
@@ -396,8 +393,10 @@ class ImageNetwork(Network):
                 "input_size": self.input_size, "strides": strides}
 
     def logits(self, x, ctx: Ctx):
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
+        """Logits of an (N,C,H,W) batch (an array, or a Tensor taking no
+        gradient), transposed once, here, to the layers' (N,H,W,C)."""
+        x = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        x = Tensor(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
         for group in self._children.values():
             x = group(x, ctx)
         return x
@@ -425,8 +424,3 @@ class TextNetwork(Network):
             if name.startswith("layer_"):
                 x = group(x, bias, ctx)
         return self.group("head")(x[:, 0], ctx)
-
-
-def count_params(net: Layer) -> int:
-    """Total learnable parameter elements (weights, biases, norm scale/shift)."""
-    return sum(p.data.size for _, p in net.named_params())

@@ -1,140 +1,133 @@
 """Neural-network operations on :class:`~docbench.tensor.Tensor`.
 
-Dense convolutions use an im2col layout so the heavy lifting lands in BLAS
-matmuls (a 1x1 filter at stride 1 needs none: its input already is the column
-matrix); depthwise convolution sums strided tap views instead.  Batch and
-layer norm, the affine map (``linear``: one 2-D GEMM whatever x's leading
-axes) and multi-head self-attention (its q/k/v projection included) are
-single ops with the closed-form backward.
+Image activations are channels-last (N,H,W,C); filters keep the (K,C,F,F)
+dense and (C,1,F,F) depthwise layouts.  Dense convolutions are one im2col
+GEMM (a 1x1 filter at stride 1 needs no gather); depthwise convolution sums
+strided tap views.  Batch and layer norm, the affine map (``linear``: one
+2-D GEMM whatever x's leading axes) and multi-head self-attention (its
+q/k/v projection included) are single ops with the closed-form backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError, Tensor, _sigmoid, _unbroadcast
+from .tensor import ShapeError, Tensor, _sigmoid
 
 
-def _check_4d(t, what):
+def _check_4d(t, what, layout="N,H,W,C"):
     if t.ndim != 4:
-        raise ShapeError(f"{what} must be 4-D (N,C,H,W), got shape {t.shape}")
+        raise ShapeError(f"{what} must be 4-D ({layout}), got shape {t.shape}")
 
 
 def _same_pad(x, field, stride):
-    """Zero-pad (N,C,H,W) ``x`` so a ``field``-wide filter at ``stride``
+    """Zero-pad (N,H,W,C) ``x`` so a ``field``-wide filter at ``stride``
     yields ceil(extent / stride) outputs per spatial axis, the odd pixel of
     padding going after; returns ``(padded, top, left, out_h, out_w)``."""
     pads, outs = [], []
-    for extent in x.shape[2:]:
+    for extent in x.shape[1:3]:
         out = -(-extent // stride)
         total = max((out - 1) * stride + field - extent, 0)
         pads.append((total // 2, total - total // 2))
         outs.append(out)
-    xp = np.pad(x, ((0, 0), (0, 0), *pads)) if any(map(any, pads)) else x
+    xp = np.pad(x, ((0, 0), *pads, (0, 0))) if any(map(any, pads)) else x
     return xp, pads[0][0], pads[1][0], *outs
 
 
 def _tap(a, i, j, stride, out_h, out_w):
-    """Strided (N, C, Ho, Wo) view of ``a`` under filter tap (i, j)."""
-    return a[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-
-
-def _window_view(x, field, stride, out_h, out_w):
-    """Gather (N,C,F,F,Ho,Wo) windows from a padded (N,C,H,W) array."""
-    n, c = x.shape[:2]
-    win = np.empty((n, c, field, field, out_h, out_w))
-    for i in range(field):
-        for j in range(field):
-            win[:, :, i, j] = _tap(x, i, j, stride, out_h, out_w)
-    return win
-
-
-def _window_scatter(shape, dwin, field, stride, out_h, out_w):
-    """Adjoint of :func:`_window_view`: scatter-add windows back."""
-    dx = np.zeros(shape)
-    for i in range(field):
-        for j in range(field):
-            view = _tap(dx, i, j, stride, out_h, out_w)
-            view += dwin[:, :, i, j]
-    return dx
+    """Strided (N, Ho, Wo, C) view of ``a`` under filter tap (i, j)."""
+    return a[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Same-padded, bias-free 2-D cross-correlation of (N,C,H,W) input with
-    (K,C,F,F) filters."""
+    """Same-padded, bias-free 2-D cross-correlation of (N,H,W,C) input with
+    (K,C,F,F) filters, giving (N,Ho,Wo,K).
+
+    The (N*Ho*Wo, C*F*F) column matrix holds one (C,F,F) window per row (a
+    1x1 filter at stride 1 needs no gather: the input is it), so forward, dx
+    and dW are one GEMM each against the (K, C*F*F) filter matrix.
+    """
     _check_4d(x, "conv2d input")
-    _check_4d(w, "conv2d filters")
-    n, c, h, wd = x.shape
-    k, cf, fh, fw = w.shape
-    if fh != fw:
-        raise ShapeError(f"only square filters supported, got {fh}x{fw}")
+    _check_4d(w, "conv2d filters", "K,C,F,F")
+    n, h, wd, c = x.shape
+    k, cf, f, fw = w.shape
+    if f != fw:
+        raise ShapeError(f"only square filters supported, got {f}x{fw}")
     if cf != c:
         raise ShapeError(f"filter channels {cf} do not match input channels {c}")
 
-    pointwise = fh == 1 and stride == 1
-    if pointwise:  # the (N, C, H*W) input already is the column matrix
-        out_h, out_w = h, wd
-        cols = x.data.reshape(n, c, h * wd)
-    else:
-        xp, top, left, out_h, out_w = _same_pad(x.data, fh, stride)
-        cols = _window_view(xp, fh, stride, out_h, out_w).reshape(
-            n, c * fh * fw, out_h * out_w)
-    wmat = w.data.reshape(k, c * fh * fw)
-    out = np.matmul(wmat, cols).reshape(n, k, out_h, out_w)
+    pointwise = f == 1 and stride == 1
+    xp, top, left, out_h, out_w = _same_pad(x.data, f, stride)
+    if pointwise:
+        cols = x.data.reshape(-1, c)
+    else:  # (N, Ho, Wo, C, F, F) windows, copied into rows
+        cols = sliding_window_view(xp, (f, f), axis=(1, 2))[:, ::stride, ::stride]
+        cols = cols.reshape(-1, c * f * f)
+    wmat = w.data.reshape(k, -1)
+    out = cols @ wmat.T
 
     def vjp(g):
-        gmat = g.reshape(n, k, out_h * out_w)
-        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        dcols = np.matmul(wmat.T, gmat)
+        g2 = g.reshape(-1, k)
+        dw = (g2.T @ cols).reshape(w.shape)
+        dcols = g2 @ wmat
         if pointwise:
             return dcols.reshape(x.shape), dw
-        dwin = dcols.reshape(n, c, fh, fw, out_h, out_w)
-        dxp = _window_scatter(xp.shape, dwin, fh, stride, out_h, out_w)
-        return dxp[:, :, top : top + h, left : left + wd], dw
+        dwin = dcols.reshape(n, out_h, out_w, c, f, f)
+        dxp = np.zeros(xp.shape)
+        for i in range(f):
+            for j in range(f):
+                view = _tap(dxp, i, j, stride, out_h, out_w)
+                view += dwin[..., i, j]
+        return dxp[:, top : top + h, left : left + wd], dw
 
-    return Tensor.from_op("conv2d", (x, w), out, vjp)
+    return Tensor.from_op("conv2d", (x, w), out.reshape(n, out_h, out_w, k), vjp)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Same-padded per-channel convolution: (N,C,H,W) with one (C,1,F,F)
-    filter plane each."""
+    """Same-padded per-channel convolution of (N,H,W,C) input with one
+    (C,1,F,F) filter plane per channel.
+
+    Each tap's (C,) filter row is tiled once along the output width, so at
+    stride 1 a tap multiply runs over contiguous (Wo*C) rows; each tap's dW
+    is a ones-vector product with the (N*Ho*Wo, C) view of g times the tap.
+    """
     _check_4d(x, "depthwise input")
-    _check_4d(w, "depthwise filters")
-    n, c, h, wd = x.shape
-    cf, one, fh, fw = w.shape
-    if one != 1 or fh != fw:
+    _check_4d(w, "depthwise filters", "C,1,F,F")
+    n, h, wd, c = x.shape
+    cf, one, f, fw = w.shape
+    if one != 1 or f != fw:
         raise ShapeError(f"depthwise filters must be (C,1,F,F), got {w.shape}")
     if cf != c:
         raise ShapeError(f"one filter plane per channel required: {cf} planes, {c} channels")
-    xp, top, left, out_h, out_w = _same_pad(x.data, fh, stride)
-    taps = w.data[:, 0, :, :, None, None]  # (C, F, F, 1, 1)
-
-    out = np.zeros((n, c, out_h, out_w))
+    xp, top, left, out_h, out_w = _same_pad(x.data, f, stride)
+    # (F, F, Wo, C): tap (i, j)'s filter row repeated across the output width
+    rows = np.repeat(w.data[:, 0].transpose(1, 2, 0)[:, :, None], out_w, axis=2)
+    out = np.zeros((n, out_h, out_w, c))
     term = np.empty_like(out)
-    for i in range(fh):
-        for j in range(fw):
-            out += np.multiply(_tap(xp, i, j, stride, out_h, out_w), taps[:, i, j],
-                               out=term)
+    for i in range(f):
+        for j in range(f):
+            out += np.multiply(_tap(xp, i, j, stride, out_h, out_w), rows[i, j], out=term)
 
     def vjp(g):
-        dw = np.empty_like(w.data)
+        dw, term = np.empty_like(w.data), np.empty_like(g)
         dxp = np.zeros_like(xp)
-        term = np.empty_like(g)
-        for i in range(fh):
-            for j in range(fw):
-                dw[:, 0, i, j] = np.einsum("nchw,nchw->c", g,
-                                           _tap(xp, i, j, stride, out_h, out_w))
+        ones = np.ones(g.size // c)
+        for i in range(f):
+            for j in range(f):
+                np.multiply(g, _tap(xp, i, j, stride, out_h, out_w), out=term)
+                dw[:, 0, i, j] = ones @ term.reshape(-1, c)
                 view = _tap(dxp, i, j, stride, out_h, out_w)
-                view += np.multiply(g, taps[:, i, j], out=term)
-        return dxp[:, :, top : top + h, left : left + wd], dw
+                view += np.multiply(g, rows[i, j], out=term)
+        return dxp[:, top : top + h, left : left + wd], dw
 
     return Tensor.from_op("depthwise_conv2d", (x, w), out, vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(N,C,H,W) -> (N,C) spatial mean."""
+    """(N,H,W,C) -> (N,C) spatial mean."""
     _check_4d(x, "global_avg_pool input")
-    return x.mean(axis=(2, 3))
+    return x.mean(axis=(1, 2))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -294,51 +287,58 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor.from_op("embedding", (table,), out, vjp)
 
 
-def _normalize(op, x, scale, shift, axes, shape, eps, stats=None):
+def _normalize(op, x, scale, shift, axis, eps, stats=None):
     """``(x - mean) / sqrt(var + eps) * scale + shift`` as one tape node.
 
-    Statistics reduce ``axes`` of ``x``; ``scale`` and ``shift`` are viewed
-    as ``shape`` to broadcast.  With ``stats=(mean, var)`` the statistics are
-    constants, otherwise they are the batch's own and the backward pass runs
-    through them.  Returns the output and the statistics used.
+    ``x`` is viewed as (M, C) rows of its last axis, and the statistics
+    reduce ``axis`` of that view: 0 gives per-column (per-channel)
+    statistics, 1 per-row ones.  Each reduction is a product with a ones
+    vector, and the (C,) ``scale`` and ``shift`` gradients are column sums.
+    With ``stats=(mean, var)`` the statistics are constants, otherwise they
+    are the batch's own and the backward pass runs through them.  Returns
+    the output and the statistics used.
     """
-    mean = x.data.mean(axis=axes, keepdims=True) if stats is None else stats[0]
-    normed = x.data - mean
-    var = (normed * normed).mean(axis=axes, keepdims=True) if stats is None else stats[1]
+    x2 = x.data.reshape(-1, scale.shape[0])
+    rows = np.ones(len(x2))  # rows @ a: column sums
+    ones = rows if axis == 0 else np.ones(x2.shape[1])
+
+    def mean(a):
+        return ones @ a / ones.size if axis == 0 else (a @ ones / ones.size)[:, None]
+
+    mu = mean(x2) if stats is None else stats[0]
+    normed = x2 - mu
+    out = np.empty_like(normed)  # holds the squares until the output is written
+    var = mean(np.multiply(normed, normed, out=out)) if stats is None else stats[1]
     std = np.sqrt(var + eps)
     normed /= std
-    gain = scale.data.reshape(shape)
-    out = normed * gain
-    out += shift.data.reshape(shape)
+    np.multiply(normed, scale.data, out=out)
+    out += shift.data
 
     def vjp(g):
-        d = g * gain
+        g2 = g.reshape(x2.shape)
+        d = g2 * scale.data
+        term = g2 * normed
+        dscale = rows @ term
         if stats is None:
-            proj = (d * normed).mean(axis=axes, keepdims=True)
-            d -= d.mean(axis=axes, keepdims=True)
-            d -= normed * proj
+            proj = mean(np.multiply(d, normed, out=term))
+            d -= mean(d)
+            d -= np.multiply(normed, proj, out=term)
         d /= std
-        return (d, _unbroadcast(g * normed, shape).reshape(scale.shape),
-                _unbroadcast(g, shape).reshape(shift.shape))
+        return d.reshape(x.shape), dscale, rows @ g2
 
-    return Tensor.from_op(op, (x, scale, shift), out, vjp), mean, var
+    return Tensor.from_op(op, (x, scale, shift), out.reshape(x.shape), vjp), mu, var
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                running=None):
-    """Per-channel normalization of (N,C,H,W) over batch, height and width.
-
-    Uses the batch statistics, or the constant ``running=(mean, var)`` pair
-    of (C,) arrays; returns ``(out, mean, var)`` with (C,) statistics.
-    """
+    """Per-channel normalization of (N,H,W,C) over batch, height and width,
+    with (C,) ``gamma`` and ``beta`` and the batch statistics or the constant
+    ``running=(mean, var)`` pair; returns ``(out, mean, var)``, all (C,)
+    but ``out``."""
     _check_4d(x, "batch norm input")
-    shape = (1, x.shape[1], 1, 1)
-    stats = None if running is None else tuple(a.reshape(shape) for a in running)
-    out, mean, var = _normalize("batch_norm", x, gamma, beta, (0, 2, 3), shape,
-                                eps, stats)
-    return out, mean.reshape(-1), var.reshape(-1)
+    return _normalize("batch_norm", x, gamma, beta, 0, eps, running)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    return _normalize("layer_norm", x, gain, bias, -1, gain.shape, eps)[0]
+    return _normalize("layer_norm", x, gain, bias, 1, eps)[0]

@@ -123,34 +123,38 @@ def group_lrs(cfg: LayerwiseDecayConfig, num_layers: int):
             "head": cfg.eta_top}
 
 
-def sgd_step(params, grads, lr, cfg: SgdConfig, velocity):
+def sgd_step(params, grads, lr, cfg: SgdConfig, velocity, scratch):
     """One momentum step over flat arrays, in place; lr is a rate or one rate
-    per element, and velocity persists across calls."""
+    per element, velocity persists across calls, and the params-shaped
+    ``scratch`` takes the temporaries."""
     if np.min(lr) <= 0:
         raise ValueError(f"lr must be > 0, got {np.min(lr)}")
     velocity *= cfg.momentum
     velocity += grads
-    velocity += cfg.weight_decay * params
-    params -= lr * velocity
+    velocity += np.multiply(cfg.weight_decay, params, out=scratch)
+    params -= np.multiply(lr, velocity, out=scratch)
 
 
-def adam_step(params, grads, lr, cfg: AdamConfig, t: int, m, v):
+def adam_step(params, grads, lr, cfg: AdamConfig, t: int, m, v, scratch):
     """One bias-corrected adaptive step over flat arrays, in place; t counts
-    from 1, and the moments m and v persist across calls.
+    from 1, the moments m and v persist across calls, and the two
+    params-shaped ``scratch`` rows take the temporaries.
 
     Weight decay is the coupled L2 form: decay*param is added to the
     gradient before the moment updates.
     """
     if t < 1:
         raise ValueError(f"adam step index starts at 1, got {t}")
-    g = grads + cfg.weight_decay * params
+    g, step = scratch
+    np.add(grads, np.multiply(cfg.weight_decay, params, out=g), out=g)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
+    m += np.multiply(1.0 - cfg.beta1, g, out=step)
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=step), g, out=step)
+    np.multiply(lr, np.divide(m, 1.0 - cfg.beta1 ** t, out=step), out=step)  # lr * m_hat
+    np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, out=g), out=g)  # sqrt(v_hat)
+    g += cfg.epsilon
+    params -= np.divide(step, g, out=step)
 
 
 class Optimizer:
@@ -204,10 +208,11 @@ class SgdOptimizer(Optimizer):
         super().__init__(net, lr, group_rates)
         self.cfg = cfg
         self.velocity = np.zeros_like(self.params)
+        self.scratch = np.empty_like(self.params)  # the step's temporaries
 
     def step(self):
         base = self._begin_step()
-        sgd_step(self.params, self.grads[:-1], self.rates, self.cfg, self.velocity)
+        sgd_step(self.params, self.grads[:-1], self.rates, self.cfg, self.velocity, self.scratch)
         self.step_count += 1
         return base
 
@@ -218,10 +223,11 @@ class AdamOptimizer(Optimizer):
         self.cfg = cfg
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
+        self.scratch = np.empty((2, self.params.size))  # the step's temporaries
 
     def step(self):
         base = self._begin_step()
         self.step_count += 1  # bias correction counts from 1
         adam_step(self.params, self.grads[:-1], self.rates, self.cfg,
-                  self.step_count, self.m, self.v)
+                  self.step_count, self.m, self.v, self.scratch)
         return base

@@ -1,14 +1,18 @@
 """Shared oracles and fixtures for the test suite.
 
 The oracle half is deliberately independent of the library's fast paths:
-plain loops, sequential sums and central finite differences.  The model half
-provides a tiny classifier with no batch statistics or dropout, so worker
-sharding cannot change its per-sample behavior.
+plain loops, sequential sums, central finite differences, channels-first
+(N,C,H,W) image arithmetic where the library runs channels-last, and the
+optimizer steps as plain out-of-place formulas.  The model half provides a
+tiny classifier with no batch statistics or dropout, so worker sharding
+cannot change its per-sample behavior.
 """
 
 import numpy as np
 
-from docbench.layers import Linear, Network
+from docbench.layers import (Activation, BatchNorm2d, Conv2d, DepthwiseConv2d,
+                             Dropout, GlobalAvgPool, Linear, MBConv, Network,
+                             Sequential, SqueezeExcite)
 from docbench.tensor import Tensor
 
 
@@ -47,6 +51,47 @@ def flat_params(net):
     return np.concatenate([p.data.ravel() for _, p in net.named_params()])
 
 
+def count_params(net):
+    """Total learnable parameter elements (weights, biases, norm scale/shift)."""
+    return sum(p.data.size for _, p in net.named_params())
+
+
+def trainable_count(net):
+    """Parameter elements that still require gradients."""
+    return sum(p.data.size for _, p in net.named_params() if p.requires_grad)
+
+
+def sgd_step_oracle(params, grads, lr, cfg, velocity):
+    """Momentum step as plain formulas, one fresh array per operation."""
+    velocity *= cfg.momentum
+    velocity += grads
+    velocity += cfg.weight_decay * params
+    params -= lr * velocity
+
+
+def adam_step_oracle(params, grads, lr, cfg, t, m, v):
+    """Bias-corrected adaptive step with coupled L2 decay as plain formulas,
+    one fresh array per operation."""
+    g = grads + cfg.weight_decay * params
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def nhwc(x):
+    """Contiguous channels-last copy of an (N,C,H,W) array."""
+    return np.ascontiguousarray(np.transpose(x, (0, 2, 3, 1)))
+
+
+def nchw(x):
+    """Contiguous channels-first copy of an (N,H,W,C) array."""
+    return np.ascontiguousarray(np.transpose(x, (0, 3, 1, 2)))
+
+
 def same_pad(x, field, stride=1):
     """Zero-pad (N,C,H,W) so a valid-padded filter yields ceil(H/stride) x
     ceil(W/stride) outputs, with the odd pixel of padding after."""
@@ -78,6 +123,81 @@ def conv2d_loops(x, w, b=None, stride=1):
             if b is not None:
                 out[ni, ki] += b[ki]
     return out
+
+
+def conv2d_loops_vjp(x, w, g, stride=1):
+    """Gradients of ``sum(conv2d_loops(x, w, stride=stride) * g)`` with
+    respect to x and w, by the same six loops."""
+    n, c, _, _ = x.shape
+    k, _, f, _ = w.shape
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for ni in range(n):
+        for ki in range(k):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    for ci in range(c):
+                        for fi in range(f):
+                            for fj in range(f):
+                                xi, xj = oi * stride + fi, oj * stride + fj
+                                dx[ni, ci, xi, xj] += g[ni, ki, oi, oj] * w[ki, ci, fi, fj]
+                                dw[ki, ci, fi, fj] += g[ni, ki, oi, oj] * x[ni, ci, xi, xj]
+    return dx, dw
+
+
+def same_crop(dxp, shape, field, stride=1):
+    """Adjoint of :func:`same_pad`: the (N,C,H,W) ``shape`` window of a
+    gradient with respect to the padded input."""
+    tops = [max((-(-e // stride) - 1) * stride + field - e, 0) // 2 for e in shape[2:]]
+    return dxp[:, :, tops[0] : tops[0] + shape[2], tops[1] : tops[1] + shape[3]]
+
+
+def _swish(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def nchw_forward(layer, x):
+    """Eval-mode forward of an image network, group or layer on an (N,C,H,W)
+    array, channels-first throughout, with convolutions from
+    :func:`conv2d_loops` over the layers' own (K,C,F,F) and (C,1,F,F)
+    filters."""
+    if isinstance(layer, Conv2d):
+        f = layer.weight.shape[2]
+        return conv2d_loops(same_pad(x, f, layer.stride), layer.weight.data,
+                            stride=layer.stride)
+    if isinstance(layer, DepthwiseConv2d):
+        w, s = layer.weight.data, layer.stride
+        xp = same_pad(x, w.shape[2], s)
+        return np.concatenate([conv2d_loops(xp[:, c : c + 1], w[c : c + 1], stride=s)
+                               for c in range(x.shape[1])], axis=1)
+    if isinstance(layer, BatchNorm2d):
+        mean, var, gamma, beta = (a.reshape(1, -1, 1, 1) for a in (
+            layer.running_mean, layer.running_var, layer.gamma.data, layer.beta.data))
+        return (x - mean) / np.sqrt(var + layer.eps) * gamma + beta
+    if isinstance(layer, Activation):
+        return _swish(x)
+    if isinstance(layer, GlobalAvgPool):
+        return x.mean(axis=(2, 3))
+    if isinstance(layer, Dropout):
+        return x
+    if isinstance(layer, Linear):
+        return x @ layer.weight.data + layer.bias.data
+    if isinstance(layer, SqueezeExcite):
+        pooled = x.mean(axis=(2, 3))
+        gate = nchw_forward(layer.expand, _swish(nchw_forward(layer.reduce, pooled)))
+        return x / (1.0 + np.exp(-gate))[:, :, None, None]
+    if isinstance(layer, MBConv):
+        h, kids = x, layer._children
+        if "expand_conv" in kids:
+            h = _swish(nchw_forward(layer.expand_bn, nchw_forward(layer.expand_conv, h)))
+        h = _swish(nchw_forward(layer.dw_bn, nchw_forward(layer.dw, h)))
+        if "se" in kids:
+            h = nchw_forward(layer.se, h)
+        h = nchw_forward(layer.project_bn, nchw_forward(layer.project_conv, h))
+        return h + x if layer.use_residual else h
+    assert isinstance(layer, (Sequential, Network)), type(layer)
+    for child in layer._children.values():
+        x = nchw_forward(child, x)
+    return x
 
 
 def fd_gradcheck(func, inputs, rtol=1e-6, step=1e-5, rng=None):

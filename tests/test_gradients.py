@@ -10,7 +10,7 @@ import pytest
 from docbench import ops
 from docbench.layers import Ctx, MBConv, TransformerBlock
 from docbench.tensor import Tensor
-from helpers import fd_gradcheck
+from helpers import fd_gradcheck, nhwc
 
 N_SHAPES = 20
 SEEDS = range(N_SHAPES)
@@ -161,7 +161,7 @@ def test_conv2d(seed):
     stride = int(rng.integers(1, 3))
     x = rng.standard_normal((n, c, h, h))
     w = rng.standard_normal((k, c, f, f))
-    fd_gradcheck(lambda xx, ww: ops.conv2d(xx, ww, stride), [x, w], rng=rng)
+    fd_gradcheck(lambda xx, ww: ops.conv2d(xx, ww, stride), [nhwc(x), w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -172,7 +172,7 @@ def test_conv2d_pointwise(seed):
     h, wd = rand_shape(rng, 2, 1, 4)
     x = rng.standard_normal((n, c, h, wd))
     w = rng.standard_normal((k, c, 1, 1))
-    fd_gradcheck(ops.conv2d, [x, w], rng=rng)
+    fd_gradcheck(ops.conv2d, [nhwc(x), w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -184,7 +184,7 @@ def test_depthwise_conv2d_stride2_same(seed):
     x = rng.standard_normal((int(rng.integers(1, 3)), c, h, wd))
     w = rng.standard_normal((c, 1, f, f))
     fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=2),
-                 [x, w], rng=rng)
+                 [nhwc(x), w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -197,14 +197,14 @@ def test_depthwise_conv2d(seed):
     x = rng.standard_normal((1, c, h, h))
     w = rng.standard_normal((c, 1, f, f))
     fd_gradcheck(lambda xx, ww: ops.depthwise_conv2d(xx, ww, stride=stride),
-                 [x, w], rng=rng)
+                 [nhwc(x), w], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_global_avg_pool(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, int(rng.integers(1, 4)), 3, 3))
-    fd_gradcheck(ops.global_avg_pool, [x], rng=rng)
+    fd_gradcheck(ops.global_avg_pool, [nhwc(x)], rng=rng)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -249,7 +249,7 @@ def test_layer_norm_3d(seed):
 def _norm_inputs(rng):
     n, c, h, w = rand_shape(rng, 4, 1, 3)
     n += 1  # at least two values per channel statistic
-    return (rng.standard_normal((n, c, h, w)) * 2.0 + 0.5,
+    return (nhwc(rng.standard_normal((n, c, h, w)) * 2.0 + 0.5),
             rng.standard_normal(c) + 1.0, rng.standard_normal(c))
 
 
@@ -264,8 +264,8 @@ def test_batch_norm_training(seed):
 def test_batch_norm_eval(seed):
     rng = np.random.default_rng(seed)
     x, gamma, beta = _norm_inputs(rng)
-    running = (rng.standard_normal(x.shape[1]),
-               rng.uniform(0.2, 3.0, size=x.shape[1]))
+    running = (rng.standard_normal(x.shape[3]),
+               rng.uniform(0.2, 3.0, size=x.shape[3]))
     fd_gradcheck(lambda xx, g, b: ops.batch_norm(xx, g, b, running=running)[0],
                  [x, gamma, beta], rng=rng)
 
@@ -288,7 +288,7 @@ def test_mbconv_rerun_is_bit_identical():
     def run():
         rng = np.random.default_rng(5)
         block = MBConv(4, 4, 6, 3, 1, 0.25, rng=np.random.default_rng(6))
-        x = Tensor(rng.standard_normal((3, 4, 6, 6)), requires_grad=True)
+        x = Tensor(nhwc(rng.standard_normal((3, 4, 6, 6))), requires_grad=True)
         out = block(x, Ctx(training=True))
         (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
         return [out.data, x.grad] + [p.grad for _, p in block.named_params()]

@@ -1,6 +1,9 @@
 """Architecture construction: compound scaling, channel/repeat rounding,
 MBConv structure, parameter-count anchors, and the text encoder."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import warnings
@@ -10,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from docbench.efficientnet import (BASE_STAGES, HEAD_CHANNELS, STEM_CHANNELS,
                                    StageSpec, build_efficientnet,
                                    round_channels, round_repeats)
-from docbench.layers import Ctx, MBConv, TransformerBlock, count_params
+from docbench.layers import Ctx, MBConv, TransformerBlock
 from docbench.scaling import (ScaledDims, ScalingSpec, compound_scale,
                               round_to_even)
+from docbench.tensor import no_grad
 from docbench.text_encoder import TextEncoderSpec, build_text_encoder
+from helpers import count_params, nchw_forward, nhwc, trainable_count
 
 
 def dims_for(phi, alpha=1.2, beta=1.1, gamma=1.15, base=224):
@@ -157,7 +162,7 @@ def test_mbconv_residual_shape_rules():
     assert out.shape == (2, 8, 8, 8)
     # stride 2 halves the spatial extent
     out2 = MBConv(8, 16, 6, 3, 2, 0.25, rng0())(Tensor(x), ctx)
-    assert out2.shape == (2, 16, 4, 4)
+    assert out2.shape == (2, 4, 4, 16)  # channels-last (N,H,W,C)
 
 
 def test_mbconv_residual_is_additive():
@@ -165,7 +170,7 @@ def test_mbconv_residual_is_additive():
     as identity (pure shortcut), and the non-shortcut block as zero."""
     from docbench.tensor import Tensor
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 6, 5, 5))
+    x = nhwc(rng.normal(size=(1, 6, 5, 5)))
     ctx = Ctx(training=False)
 
     def zero_params(block):
@@ -235,6 +240,26 @@ def test_forward_is_probability_simplex():
     assert probs.shape == (3, 4)
     assert np.all(probs >= 0)
     assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def test_channels_last_net_means_the_channels_first_net():
+    """Eval logits of an (N,1,H,W) batch, which the net transposes once and
+    runs channels-last, match a channels-first forward from nested loops
+    over the same (K,C,F,F) and (C,1,F,F) filters."""
+    net = micro_net(seed=3)
+    rng = np.random.default_rng(4)
+    for name, p in net.named_params():
+        if p.ndim == 1:  # batch-norm scales and shifts, linear biases
+            p.data[...] = rng.normal(size=p.shape) * 0.5 + name.endswith("gamma")
+    for name, b in net.named_buffers():
+        b[...] = (rng.uniform(0.5, 2.0, size=b.shape) if name.endswith("var")
+                  else rng.normal(size=b.shape) * 0.1)
+    x = rng.normal(size=(3, 1, 16, 16))
+    with no_grad():
+        got = net.logits(x, Ctx(training=False)).data
+    want = nchw_forward(net, x)
+    assert got.shape == want.shape == (3, 4)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_dropout_requires_rng_when_training():
@@ -370,7 +395,7 @@ def test_freeze_all_but_head():
     net = micro_net()
     net.freeze(keep_trainable=["head"])
     head = count_params(net.group("head"))
-    assert net.trainable_count() == head
+    assert trainable_count(net) == head
     with pytest.raises(KeyError):
         net.freeze(keep_trainable=["no_such_group"])
 
@@ -384,6 +409,25 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["num_classes"] == 4
     for (_, pa), (_, pb) in zip(net.named_params(), other.named_params()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_checkpoint_keeps_the_channels_first_filter_layout(tmp_path):
+    """Activations run channels-last, but a checkpoint still records (K,C,F,F)
+    and (C,1,F,F) filters: its header line (every tensor name, shape and
+    dtype, and the meta) is byte for byte the one the channels-first engine
+    wrote for this net, so checkpoints from before the change still load."""
+    path = tmp_path / "net.tensors"
+    micro_net().save(str(path))
+    line = path.read_bytes().split(b"\n", 1)[0]
+    header = json.loads(line)
+    shapes = {t["name"]: t["shape"] for t in header["tensors"]}
+    assert len(shapes) == 64
+    assert shapes["stem.0.weight"] == [8, 1, 3, 3]
+    assert shapes["stage2.0.expand_conv.weight"] == [48, 8, 1, 1]
+    assert shapes["stage2.0.dw.weight"] == [48, 1, 3, 3]
+    assert header["meta"]["strides"] == [1, 2, 1]
+    assert hashlib.sha256(line + b"\n").hexdigest() == (
+        "94775d3de9cfde5be641bd3539f0aec8719150a897c1a7c971f00ea378fdbef5")
 
 
 def test_checkpoint_skip_groups_keeps_fresh_head(tmp_path):

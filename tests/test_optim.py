@@ -13,6 +13,7 @@ from docbench.optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig,
                             group_lrs, layerwise_lrs, reference_lr,
                             sgd_step, stlr_lr)
 from docbench.tensor import Tensor
+from helpers import adam_step_oracle, sgd_step_oracle
 
 
 # -- reference learning rate ---------------------------------------------------------
@@ -165,7 +166,7 @@ def test_sgd_matches_recurrence():
     vel = np.zeros_like(p0)
     cfg = SgdConfig(momentum=0.9, weight_decay=0.01)
     for g in grads:
-        sgd_step(params, g, 0.05, cfg, vel)
+        sgd_step(params, g, 0.05, cfg, vel, np.empty_like(params))
     np.testing.assert_allclose(params, expect, rtol=1e-12, atol=1e-14)
 
 
@@ -193,7 +194,7 @@ def test_adam_matches_recurrence():
     m, v = np.zeros_like(p0), np.zeros_like(p0)
     cfg = AdamConfig()
     for t, g in enumerate(grads, start=1):
-        adam_step(params, g, 1e-3, cfg, t, m, v)
+        adam_step(params, g, 1e-3, cfg, t, m, v, np.empty((2, *params.shape)))
     np.testing.assert_allclose(params, expect, rtol=1e-12, atol=1e-14)
 
 
@@ -202,18 +203,43 @@ def test_adam_first_step_size_is_lr():
     gradient scale (up to epsilon)."""
     params = np.zeros(3)
     adam_step(params, np.full(3, 123.0), 0.01, AdamConfig(weight_decay=0.0), 1,
-              np.zeros(3), np.zeros(3))
+              np.zeros(3), np.zeros(3), np.empty((2, 3)))
     np.testing.assert_allclose(params, -0.01, rtol=1e-6)
 
 
 def test_steps_update_in_place():
     params, vel = np.ones(3), np.zeros(3)
-    sgd_step(params, np.ones(3), 0.1, SgdConfig(weight_decay=0.0), vel)
+    sgd_step(params, np.ones(3), 0.1, SgdConfig(weight_decay=0.0), vel, np.empty(3))
     np.testing.assert_allclose(params, 0.9 - 0.0)  # one plain momentum-0-history step
     np.testing.assert_allclose(vel, 1.0)
     m, v = np.zeros(3), np.zeros(3)
-    adam_step(params, np.ones(3), 0.1, AdamConfig(), 1, m, v)
+    adam_step(params, np.ones(3), 0.1, AdamConfig(), 1, m, v, np.empty((2, 3)))
     assert m.any() and v.any()
+
+
+@pytest.mark.parametrize("rule", ["sgd", "adam"])
+def test_steps_match_the_out_of_place_oracle_bit_for_bit(rule):
+    """300 steps with one rate per element and nonzero weight decay leave
+    params, velocity and moments array_equal to the plain formulas."""
+    rng = np.random.default_rng(8)
+    n = 1000
+    rates = rng.uniform(1e-4, 1e-2, size=n)
+    start = rng.normal(size=n)
+    sgd, adam = SgdConfig(momentum=0.9, weight_decay=0.01), AdamConfig(weight_decay=0.01)
+    fast, slow = [start.copy(), np.zeros(n), np.zeros(n)], [start.copy(), np.zeros(n),
+                                                            np.zeros(n)]
+    scratch = np.full((2, n), np.nan)  # stale contents must not leak into a step
+    for t in range(1, 301):
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+        if rule == "sgd":
+            sgd_step(fast[0], g, rates, sgd, fast[1], scratch[0])
+            sgd_step_oracle(slow[0], g, rates, sgd, slow[1])
+        else:
+            adam_step(fast[0], g, rates, adam, t, fast[1], fast[2], scratch)
+            adam_step_oracle(slow[0], g, rates, adam, t, slow[1], slow[2])
+    assert not np.array_equal(fast[0], start)
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
 
 
 def test_nonfinite_gradient_is_rejected():

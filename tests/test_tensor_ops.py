@@ -13,35 +13,53 @@ from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              no_grad, save_tensors, trace)
-from helpers import conv2d_loops, same_pad
+from helpers import (conv2d_loops, conv2d_loops_vjp, nchw, nhwc, same_crop,
+                     same_pad)
+
+
+def conv_against_loops(x, w, stride=1):
+    """Run ops.conv2d on the channels-last copy of (N,C,H,W) ``x`` under a
+    random projection; return its output and input gradients, brought back
+    to (N,C,H,W), beside those of the nested-loop oracle."""
+    f = w.shape[2]
+    xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
+    out = ops.conv2d(xt, wt, stride=stride)
+    proj = np.random.default_rng(99).standard_normal(out.shape)
+    (out * Tensor(proj)).sum().backward()
+    xp = same_pad(x, f, stride)
+    want = conv2d_loops(xp, w, stride=stride)
+    dxp, dw = conv2d_loops_vjp(xp, w, nchw(proj), stride=stride)
+    return ((nchw(out.data), nchw(xt.grad), wt.grad),
+            (want, same_crop(dxp, x.shape, f, stride), dw))
 
 
 class TestConv2d:
     def test_all_ones_window_sum(self):
         # the 2x2 window overhangs the padding row and column after the input
-        x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        x = Tensor(np.ones((1, 3, 3, 1)), requires_grad=True)
         w = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         out = ops.conv2d(x, w)
-        assert out.shape == (1, 1, 3, 3)
-        assert np.array_equal(out.data[0, 0], [[4, 4, 2], [4, 4, 2], [2, 2, 1]])
+        assert out.shape == (1, 3, 3, 1)
+        assert np.array_equal(out.data[0, :, :, 0], [[4, 4, 2], [4, 4, 2], [2, 2, 1]])
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
-        got = ops.conv2d(Tensor(x), Tensor(w)).data
-        want = conv2d_loops(same_pad(x, 3), w)
-        assert got.shape == (1, 3, 6, 6)
-        assert np.max(np.abs(got - want)) < 1e-12
+        got, want = conv_against_loops(x, w)
+        assert got[0].shape == (1, 3, 6, 6)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-12
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_strided_matches_oracle(self, stride):
         rng = np.random.default_rng(stride)
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
-        got = ops.conv2d(Tensor(x), Tensor(w), stride=stride).data
-        want = conv2d_loops(same_pad(x, 3, stride), w, stride=stride)
-        assert np.max(np.abs(got - want)) < 1e-12
+        for a, b in zip(*conv_against_loops(x, w, stride)):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-12
 
     @pytest.mark.parametrize("padding", ["same"])
     def test_pointwise_matches_nested_loop_oracle(self, padding):
@@ -49,20 +67,29 @@ class TestConv2d:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 5, 4))
         w = rng.standard_normal((6, 3, 1, 1))
-        got = ops.conv2d(Tensor(x), Tensor(w)).data
-        assert np.max(np.abs(got - conv2d_loops(same_pad(x, 1), w))) < 1e-12
+        for a, b in zip(*conv_against_loops(x, w)):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_same_padding_keeps_ceil_extent(self):
-        x = Tensor(np.zeros((1, 2, 7, 7)))
+        x = Tensor(np.zeros((1, 7, 7, 2)))
         w = Tensor(np.zeros((4, 2, 3, 3)))
-        assert ops.conv2d(x, w).shape == (1, 4, 7, 7)
+        assert ops.conv2d(x, w).shape == (1, 7, 7, 4)
         assert ops.conv2d(x, w, stride=2).shape == (1, 4, 4, 4)
 
     def test_channel_mismatch_raises(self):
-        x = Tensor(np.zeros((1, 2, 5, 5)))
+        x = Tensor(np.zeros((1, 5, 5, 2)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
-        with pytest.raises(ShapeError, match="channels"):
+        with pytest.raises(ShapeError, match="channels 3 do not match input channels 2"):
             ops.conv2d(x, w)
+
+    def test_layouts_are_named_in_rank_errors(self):
+        with pytest.raises(ShapeError, match=r"^conv2d input must be 4-D \(N,H,W,C\)"):
+            ops.conv2d(Tensor(np.zeros((5, 5, 2))), Tensor(np.zeros((1, 2, 3, 3))))
+        with pytest.raises(ShapeError, match=r"^conv2d filters must be 4-D \(K,C,F,F\)"):
+            ops.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((2, 3, 3))))
+        with pytest.raises(ShapeError, match=r"^depthwise filters must be 4-D \(C,1,F,F\)"):
+            ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((2, 3, 3))))
 
     def test_zero_extent_input_rejected(self):
         with pytest.raises(ShapeError, match="zero-extent"):
@@ -72,43 +99,62 @@ class TestConv2d:
 class TestDepthwise:
     def test_unit_filters_are_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 2, 4, 4))
+        x = rng.standard_normal((2, 4, 4, 2))
         w = np.ones((2, 1, 1, 1))
         out = ops.depthwise_conv2d(Tensor(x), Tensor(w)).data
         assert np.array_equal(out, x)
 
     def test_matches_per_channel_conv2d(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 3, 5, 5))
+        x = nhwc(rng.standard_normal((1, 3, 5, 5)))
         w = rng.standard_normal((3, 1, 3, 3))
         got = ops.depthwise_conv2d(Tensor(x), Tensor(w)).data
         for c in range(3):
-            per = ops.conv2d(Tensor(x[:, c : c + 1]), Tensor(w[c : c + 1])).data
-            assert np.max(np.abs(got[:, c : c + 1] - per)) < 1e-12
+            per = ops.conv2d(Tensor(x[..., c : c + 1]), Tensor(w[c : c + 1])).data
+            assert np.max(np.abs(got[..., c : c + 1] - per)) < 1e-12
+
+    @pytest.mark.parametrize("stride,extent", [(1, 5), (2, 5), (2, 6)])
+    def test_matches_per_channel_loops_and_their_gradients(self, stride, extent):
+        rng = np.random.default_rng(stride + extent)
+        x = rng.standard_normal((2, 3, extent, extent + 1))
+        w = rng.standard_normal((3, 1, 3, 3))
+        xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
+        out = ops.depthwise_conv2d(xt, wt, stride=stride)
+        proj = nchw(rng.standard_normal(out.shape))
+        (out * Tensor(nhwc(proj))).sum().backward()
+        xp = same_pad(x, 3, stride)
+        for c in range(3):
+            want = conv2d_loops(xp[:, c : c + 1], w[c : c + 1], stride=stride)
+            dxp, dw = conv2d_loops_vjp(xp[:, c : c + 1], w[c : c + 1],
+                                       proj[:, c : c + 1], stride=stride)
+            assert np.max(np.abs(nchw(out.data)[:, c : c + 1] - want)) < 1e-12
+            dx = same_crop(dxp, (2, 1, extent, extent + 1), 3, stride)
+            assert np.max(np.abs(nchw(xt.grad)[:, c : c + 1] - dx)) < 1e-12
+            assert np.max(np.abs(wt.grad[c : c + 1] - dw)) < 1e-12
 
     def test_output_extent(self):
-        out = ops.depthwise_conv2d(Tensor(np.zeros((1, 3, 5, 5))),
+        out = ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 3))),
                                    Tensor(np.zeros((3, 1, 3, 3))))
-        assert out.shape == (1, 3, 5, 5)
-        out = ops.depthwise_conv2d(Tensor(np.zeros((1, 3, 5, 5))),
+        assert out.shape == (1, 5, 5, 3)
+        out = ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 3))),
                                    Tensor(np.zeros((3, 1, 3, 3))), stride=2)
         assert out.shape == (1, 3, 3, 3)
 
     def test_channel_count_mismatch_raises(self):
         with pytest.raises(ShapeError, match="per channel"):
-            ops.depthwise_conv2d(Tensor(np.zeros((1, 3, 5, 5))),
+            ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 3))),
                                  Tensor(np.zeros((2, 1, 3, 3))))
 
     def test_channels_stay_independent(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 2, 5, 5))
+        x = rng.standard_normal((1, 5, 5, 2))
         w = rng.standard_normal((2, 1, 3, 3))
         base = ops.depthwise_conv2d(Tensor(x), Tensor(w)).data
         x2 = x.copy()
-        x2[:, 1] += 100.0
+        x2[..., 1] += 100.0
         bumped = ops.depthwise_conv2d(Tensor(x2), Tensor(w)).data
-        assert np.array_equal(base[:, 0], bumped[:, 0])
-        assert not np.allclose(base[:, 1], bumped[:, 1])
+        assert np.array_equal(base[..., 0], bumped[..., 0])
+        assert not np.allclose(base[..., 1], bumped[..., 1])
 
 
 def _two_branch_sigmoid(x):
@@ -178,23 +224,30 @@ class TestFusedNorms:
             layer.beta.data[:] = beta
             layer.running_mean[:] = [0.5, -1.0, 0.0, 2.0]
             layer.running_var[:] = [1.5, 0.3, 1.0, 4.0]
-            xt = Tensor(x, requires_grad=True)
-            if forward == "fused":
+            if forward == "fused":  # channels-last in, channels-first compared
+                xt = Tensor(nhwc(x), requires_grad=True)
                 out = layer(xt, Ctx(training=training))
+                (out * Tensor(nhwc(proj))).sum().backward()
+                out_data, x_grad = nchw(out.data), nchw(xt.grad)
             else:
+                xt = Tensor(x, requires_grad=True)
                 out = _composite_batch_norm(layer, xt, training)
-            (out * Tensor(proj)).sum().backward()
-            results.append((out.data, xt.grad, layer.gamma.grad, layer.beta.grad,
+                (out * Tensor(proj)).sum().backward()
+                out_data, x_grad = out.data, xt.grad
+            results.append((out_data, x_grad, layer.gamma.grad, layer.beta.grad,
                             layer.running_mean.copy(), layer.running_var.copy()))
         fused, composite = results
         for a, b in zip(fused[:4], composite[:4]):
             assert np.max(np.abs(a - b)) < 1e-12
+        # the channels-last statistics are summed in another order than the
+        # composite's, one ulp apart at most here, and the 0.1 momentum
+        # carries no more than that one ulp into the buffers
         for a, b in zip(fused[4:], composite[4:]):
-            assert np.array_equal(a, b)
+            np.testing.assert_array_max_ulp(a, b, maxulp=1)
 
     def test_eval_batch_norm_is_one_tape_node(self):
         layer = BatchNorm2d(2)
-        x = Tensor(np.random.default_rng(0).standard_normal((2, 2, 3, 3)),
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 3, 2)),
                    requires_grad=True)
         out = layer(x, Ctx(training=False))
         assert out.op == "batch_norm"
@@ -457,7 +510,7 @@ class TestFiniteForward:
     @settings(max_examples=20, deadline=None)
     def test_ops_finite_on_finite_inputs(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)))
+        x = Tensor(nhwc(rng.standard_normal((2, 3, 6, 6))))
         w = Tensor(rng.standard_normal((4, 3, 3, 3)))
         out = ops.swish(ops.conv2d(x, w, stride=2))
         assert np.isfinite(out.data).all()
