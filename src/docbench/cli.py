@@ -143,7 +143,6 @@ def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
         "command": command,
         "version": __version__,
         "seed": args.seed,
-        "workers": args.workers,
         "config": cfg.snapshot(),
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
         "wall_clock_seconds": round(time.time() - started, 3),
@@ -180,7 +179,7 @@ def _write_training(command: str, args, cfg: Config, started: float, net,
     final = metrics[-1].get("val_acc", math.nan)  # NaN after an empty val split
     _write_manifest(out, command, args, cfg,
                     {"checkpoint": ckpt, "metrics": csv_path}, started,
-                    extra={"epochs": len(metrics),
+                    extra={"epochs": len(metrics), "workers": args.workers,
                            "final_val_acc": None if math.isnan(final) else final,
                            **(extra or {})})
     print(f"{command}: {len(metrics)} epochs, final val_acc {final:.4f}")
@@ -220,9 +219,11 @@ def _train_image(args, cfg: Config, section: str, initial=None,
         raise ConfigError(
             f"{section}: train split of {len(plan.train)} documents yields no "
             f"full batches of {k * n}")
-    schedule = cfg.build(
-        StlrConfig, section, total_steps=steps,
-        eta_max=reference_lr(cfg.getfloat(section, "base_lr"), n, k))
+    base_lr = cfg.getfloat(section, "base_lr")
+    if not base_lr > 0:
+        raise ConfigError(f"{section}.base_lr must be > 0, got {base_lr}")
+    schedule = cfg.build(StlrConfig, section, total_steps=steps,
+                         eta_max=reference_lr(base_lr, n, k))
     sgd = cfg.build(SgdConfig, section)
 
     def model_factory():
@@ -441,31 +442,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    # flags that only some commands read; each command gets only its own
+    flags = {"--data": dict(required=True, help="corpus directory"),
+             "--workers": dict(type=int, default=None, metavar="K"),
+             "--batch-per-worker": dict(type=int, default=None, metavar="N")}
+    training = tuple(flags)
+
+    def common(p, *names):
         p.add_argument("--config", default=None,
                        help="profile name (desk, full) or config file path")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override one config value")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None, metavar="K")
-        p.add_argument("--batch-per-worker", type=int, default=None, metavar="N")
         p.add_argument("--out", required=True, help="output directory")
-        if data:
-            p.add_argument("--data", required=True, help="corpus directory")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
-    common(sub.add_parser("gen-data", help="generate a synthetic corpus"),
-           data=False)
-    common(sub.add_parser("pretrain", help="train the image model"))
+    common(sub.add_parser("gen-data", help="generate a synthetic corpus"))
+    common(sub.add_parser("pretrain", help="train the image model"), *training)
     p = sub.add_parser("finetune", help="fine-tune a pretrained image model")
-    common(p)
+    common(p, *training)
     p.add_argument("--checkpoint", required=True)
-    common(sub.add_parser("train-text", help="train the text model"))
+    common(sub.add_parser("train-text", help="train the text model"), *training)
     p = sub.add_parser("ensemble-eval", help="evaluate late-fusion ensemble")
-    common(p)
+    common(p, "--data")
     p.add_argument("--image-checkpoint", required=True)
     p.add_argument("--text-checkpoint", required=True)
     p = sub.add_parser("bench-scaling", help="measure data-parallel speedup")
-    common(p)
+    common(p, "--data", "--batch-per-worker")
     p.add_argument("--k-list", type=int, nargs="+", default=None)
     return parser
 
@@ -481,10 +485,12 @@ HANDLERS = {
 
 
 def _resolve(args, cfg: Config):
-    """Fill flag defaults from [run], check each against its minimum, and
-    record which flags were given."""
-    args.batch_per_worker_given = args.batch_per_worker is not None
+    """Fill the defaults of the command's flags from [run], check each
+    against its minimum, and record whether --batch-per-worker was given."""
+    args.batch_per_worker_given = getattr(args, "batch_per_worker", None) is not None
     for key, minimum in (("seed", 0), ("workers", 1), ("batch_per_worker", 1)):
+        if not hasattr(args, key):
+            continue
         value = getattr(args, key)
         if value is None:
             setattr(args, key, cfg.getint("run", key, minimum=minimum))

@@ -90,7 +90,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     Each tap's (C,) filter row is tiled once along the output width, so at
     stride 1 a tap multiply runs over contiguous (Wo*C) rows; each tap's dW
-    is a ones-vector product with the (N*Ho*Wo, C) view of g times the tap.
+    is one einsum of g with the tap, which forms no product buffer.
     """
     _check_4d(x, "depthwise input")
     _check_4d(w, "depthwise filters", "C,1,F,F")
@@ -112,11 +112,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     def vjp(g):
         dw, term = np.empty_like(w.data), np.empty_like(g)
         dxp = np.zeros_like(xp)
-        ones = np.ones(g.size // c)
         for i in range(f):
             for j in range(f):
-                np.multiply(g, _tap(xp, i, j, stride, out_h, out_w), out=term)
-                dw[:, 0, i, j] = ones @ term.reshape(-1, c)
+                dw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, _tap(xp, i, j, stride, out_h, out_w))
                 view = _tap(dxp, i, j, stride, out_h, out_w)
                 view += np.multiply(g, rows[i, j], out=term)
         return dxp[:, top : top + h, left : left + wd], dw
@@ -292,8 +290,8 @@ def _normalize(op, x, scale, shift, axis, eps, stats=None):
 
     ``x`` is viewed as (M, C) rows of its last axis, and the statistics
     reduce ``axis`` of that view: 0 gives per-column (per-channel)
-    statistics, 1 per-row ones.  Each reduction is a product with a ones
-    vector, and the (C,) ``scale`` and ``shift`` gradients are column sums.
+    statistics, 1 per-row ones.  A plain sum is a product with a ones
+    vector, a sum of products one einsum, which forms no product buffer.
     With ``stats=(mean, var)`` the statistics are constants, otherwise they
     are the batch's own and the backward pass runs through them.  Returns
     the output and the statistics used.
@@ -301,6 +299,7 @@ def _normalize(op, x, scale, shift, axis, eps, stats=None):
     x2 = x.data.reshape(-1, scale.shape[0])
     rows = np.ones(len(x2))  # rows @ a: column sums
     ones = rows if axis == 0 else np.ones(x2.shape[1])
+    along = "mc,mc->c" if axis == 0 else "mc,mc->m"  # sums of products, as mean does
 
     def mean(a):
         return ones @ a / ones.size if axis == 0 else (a @ ones / ones.size)[:, None]
@@ -317,12 +316,11 @@ def _normalize(op, x, scale, shift, axis, eps, stats=None):
     def vjp(g):
         g2 = g.reshape(x2.shape)
         d = g2 * scale.data
-        term = g2 * normed
-        dscale = rows @ term
+        dscale = np.einsum("mc,mc->c", g2, normed)
         if stats is None:
-            proj = mean(np.multiply(d, normed, out=term))
+            proj = np.einsum(along, d, normed).reshape(mu.shape) / ones.size
             d -= mean(d)
-            d -= np.multiply(normed, proj, out=term)
+            d -= normed * proj
         d /= std
         return d.reshape(x.shape), dscale, rows @ g2
 

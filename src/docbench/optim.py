@@ -65,7 +65,7 @@ class StlrConfig:
             raise ValueError(f"ratio must be > 1, got {self.ratio}")
         if self.cut < 1:
             raise ValueError(
-                f"total_steps {self.total_steps} too small for cut_frac {self.cut_frac}")
+                f"cut_frac {self.cut_frac} too small for {self.total_steps} total steps")
 
     @property
     def cut(self) -> int:

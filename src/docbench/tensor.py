@@ -103,46 +103,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        out = a.data - b.data
-
-        def vjp(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-        return Tensor.from_op("sub", (a, b), out, vjp)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        out = a.data / b.data
-
-        def vjp(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            return ga, gb
-
-        return Tensor.from_op("div", (a, b), out, vjp)
-
-    # -- matmul -------------------------------------------------------------
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError("matmul operands must have at least 2 dims")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-        out = a.data @ b.data
-
-        def vjp(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            return ga, gb
-
-        return Tensor.from_op("matmul", (a, b), out, vjp)
-
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
@@ -151,14 +111,6 @@ class Tensor:
         a = self
         out = a.data.reshape(shape)
         return Tensor.from_op("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        a = self
-        inverse = tuple(np.argsort(axes))
-        out = a.data.transpose(axes)
-        return Tensor.from_op("transpose", (a,), out, lambda g: (g.transpose(inverse),))
 
     def __getitem__(self, key):
         a = self
@@ -171,16 +123,7 @@ class Tensor:
 
         return Tensor.from_op("slice", (a,), out, vjp)
 
-    # -- reductions ------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def vjp(g):
-            return (_expand_reduced(g, a.shape, axis, keepdims),)
-
-        return Tensor.from_op("sum", (a,), out, vjp)
+    # -- mean and the one pointwise nonlinearity ---------------------------------
 
     def mean(self, axis=None, keepdims=False):
         a = self
@@ -193,19 +136,6 @@ class Tensor:
             return (_expand_reduced(g, a.shape, axis, keepdims) / count,)
 
         return Tensor.from_op("mean", (a,), out, vjp)
-
-    # -- pointwise nonlinearities ------------------------------------------------
-
-    def sqrt(self):
-        a = self
-        out = np.sqrt(a.data)
-        return Tensor.from_op("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
-
-    def relu(self):
-        a = self
-        mask = a.data > 0
-        out = np.where(mask, a.data, 0.0)
-        return Tensor.from_op("relu", (a,), out, lambda g: (g * mask,))
 
     def sigmoid(self):
         a = self

@@ -3,9 +3,12 @@
 The oracle half is deliberately independent of the library's fast paths:
 plain loops, sequential sums, central finite differences, channels-first
 (N,C,H,W) image arithmetic where the library runs channels-last, and the
-optimizer steps as plain out-of-place formulas.  The model half provides a
-tiny classifier with no batch statistics or dropout, so worker sharding
-cannot change its per-sample behavior.
+optimizer steps as plain out-of-place formulas.  It also holds the tape ops
+that no model records (``sub``, ``div``, ``matmul``, ``transpose``,
+``tsum``, ``sqrt`` and ``relu``), built on ``Tensor.from_op`` with their
+closed-form vjps; the tests compose them into references for the fused ops.
+The model half provides a tiny classifier with no batch statistics or
+dropout, so worker sharding cannot change its per-sample behavior.
 """
 
 import numpy as np
@@ -13,7 +16,47 @@ import numpy as np
 from docbench.layers import (Activation, BatchNorm2d, Conv2d, DepthwiseConv2d,
                              Dropout, GlobalAvgPool, Linear, MBConv, Network,
                              Sequential, SqueezeExcite)
-from docbench.tensor import Tensor
+from docbench.tensor import Tensor, _expand_reduced, _unbroadcast
+
+
+def sub(a, b):
+    return Tensor.from_op("sub", (a, b), a.data - b.data, lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+
+def div(a, b):
+    return Tensor.from_op("div", (a, b), a.data / b.data, lambda g: (
+        _unbroadcast(g / b.data, a.shape),
+        _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+
+
+def matmul(a, b):
+    """``a @ b`` over the last two axes, leading axes broadcast."""
+    return Tensor.from_op("matmul", (a, b), a.data @ b.data, lambda g: (
+        _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
+
+
+def transpose(a, *axes):
+    inverse = tuple(np.argsort(axes))
+    return Tensor.from_op("transpose", (a,), a.data.transpose(axes),
+                          lambda g: (g.transpose(inverse),))
+
+
+def tsum(a, axis=None, keepdims=False):
+    return Tensor.from_op("sum", (a,), a.data.sum(axis=axis, keepdims=keepdims),
+                          lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
+
+
+def sqrt(a):
+    out = np.sqrt(a.data)
+    return Tensor.from_op("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
+
+
+def relu(a):
+    mask = a.data > 0
+    return Tensor.from_op("relu", (a,), np.where(mask, a.data, 0.0),
+                          lambda g: (g * mask,))
 
 
 class FlatImageModel(Network):
@@ -30,7 +73,7 @@ class FlatImageModel(Network):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
         h = x.reshape((x.shape[0], -1))
-        h = self.group("body")(h, ctx).relu()
+        h = relu(self.group("body")(h, ctx))
         return self.group("head")(h, ctx)
 
 
@@ -211,7 +254,7 @@ def fd_gradcheck(func, inputs, rtol=1e-6, step=1e-5, rng=None):
                for a in inputs]
     out = func(*tensors)
     proj = rng.standard_normal(out.shape)
-    loss = (out * Tensor(proj)).sum()
+    loss = tsum(out * Tensor(proj))
     loss.backward()
 
     worst = 0.0

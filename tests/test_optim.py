@@ -13,7 +13,7 @@ from docbench.optim import (AdamConfig, AdamOptimizer, LayerwiseDecayConfig,
                             group_lrs, layerwise_lrs, reference_lr,
                             sgd_step, stlr_lr)
 from docbench.tensor import Tensor
-from helpers import adam_step_oracle, sgd_step_oracle
+from helpers import adam_step_oracle, sgd_step_oracle, tsum
 
 
 # -- reference learning rate ---------------------------------------------------------
@@ -275,7 +275,7 @@ def run_loss(net):
     out = x
     for name in net.group_names():
         out = net.group(name)(out, ctx)
-    return (out * out).sum()
+    return tsum(out * out)
 
 
 def test_optimizer_owns_one_buffer_for_trainable_parameters():

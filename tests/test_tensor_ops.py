@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              no_grad, save_tensors, trace)
-from helpers import (conv2d_loops, conv2d_loops_vjp, nchw, nhwc, same_crop,
-                     same_pad)
+from helpers import (conv2d_loops, conv2d_loops_vjp, div, matmul, nchw, nhwc,
+                     same_crop, same_pad, sqrt, sub, transpose, tsum)
 
 
 def conv_against_loops(x, w, stride=1):
@@ -25,7 +27,7 @@ def conv_against_loops(x, w, stride=1):
     xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
     out = ops.conv2d(xt, wt, stride=stride)
     proj = np.random.default_rng(99).standard_normal(out.shape)
-    (out * Tensor(proj)).sum().backward()
+    tsum(out * Tensor(proj)).backward()
     xp = same_pad(x, f, stride)
     want = conv2d_loops(xp, w, stride=stride)
     dxp, dw = conv2d_loops_vjp(xp, w, nchw(proj), stride=stride)
@@ -121,7 +123,7 @@ class TestDepthwise:
         xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
         out = ops.depthwise_conv2d(xt, wt, stride=stride)
         proj = nchw(rng.standard_normal(out.shape))
-        (out * Tensor(nhwc(proj))).sum().backward()
+        tsum(out * Tensor(nhwc(proj))).backward()
         xp = same_pad(x, 3, stride)
         for c in range(3):
             want = conv2d_loops(xp[:, c : c + 1], w[c : c + 1], stride=stride)
@@ -197,16 +199,16 @@ def _composite_batch_norm(layer, x, training):
     c = x.shape[1]
     if training:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
+        centered = sub(x, mean)
         var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        normed = centered / (var + layer.eps).sqrt()
+        normed = div(centered, sqrt(var + layer.eps))
         m = layer.momentum
         layer.running_mean += m * (mean.data.reshape(c) - layer.running_mean)
         layer.running_var += m * (var.data.reshape(c) - layer.running_var)
     else:
         mean = Tensor(layer.running_mean.reshape(1, c, 1, 1))
         var = Tensor(layer.running_var.reshape(1, c, 1, 1))
-        normed = (x - mean) / (var + layer.eps).sqrt()
+        normed = div(sub(x, mean), sqrt(var + layer.eps))
     return normed * layer.gamma.reshape(1, c, 1, 1) + layer.beta.reshape(1, c, 1, 1)
 
 
@@ -227,12 +229,12 @@ class TestFusedNorms:
             if forward == "fused":  # channels-last in, channels-first compared
                 xt = Tensor(nhwc(x), requires_grad=True)
                 out = layer(xt, Ctx(training=training))
-                (out * Tensor(nhwc(proj))).sum().backward()
+                tsum(out * Tensor(nhwc(proj))).backward()
                 out_data, x_grad = nchw(out.data), nchw(xt.grad)
             else:
                 xt = Tensor(x, requires_grad=True)
                 out = _composite_batch_norm(layer, xt, training)
-                (out * Tensor(proj)).sum().backward()
+                tsum(out * Tensor(proj)).backward()
                 out_data, x_grad = out.data, xt.grad
             results.append((out_data, x_grad, layer.gamma.grad, layer.beta.grad,
                             layer.running_mean.copy(), layer.running_var.copy()))
@@ -261,14 +263,14 @@ def _composite_attention(x, w, qv, key_bias, bias, heads, rate, rng):
     d = hidden // heads
 
     def split(t):
-        return t.reshape(b, n, heads, d).transpose(0, 2, 1, 3)
+        return transpose(t.reshape(b, n, heads, d), 0, 2, 1, 3)
 
-    q = x @ w[:, :hidden] + qv[:hidden]
-    k = x @ w[:, hidden : 2 * hidden] + key_bias
-    v = x @ w[:, 2 * hidden :] + qv[hidden:]
-    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+    q = matmul(x, w[:, :hidden]) + qv[:hidden]
+    k = matmul(x, w[:, hidden : 2 * hidden]) + key_bias
+    v = matmul(x, w[:, 2 * hidden :]) + qv[hidden:]
+    scores = matmul(split(q), transpose(split(k), 0, 1, 3, 2)) * (1.0 / np.sqrt(d))
     probs = ops.dropout(ops.softmax(scores + Tensor(bias), axis=-1), rate, rng)
-    return (probs @ split(v)).transpose(0, 2, 1, 3).reshape(b, n, hidden)
+    return transpose(matmul(probs, split(v)), 0, 2, 1, 3).reshape(b, n, hidden)
 
 
 class TestFusedTextOps:
@@ -281,8 +283,8 @@ class TestFusedTextOps:
         results = []
         for fused in (True, False):
             x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-            out = ops.linear(x, w, b) if fused else x @ w + b
-            (out * proj).sum().backward()
+            out = ops.linear(x, w, b) if fused else matmul(x, w) + b
+            tsum(out * proj).backward()
             results.append((out.data, x.grad, w.grad, b.grad))
         for a, b in zip(*results):
             assert a.shape == b.shape
@@ -309,7 +311,7 @@ class TestFusedTextOps:
                 out = ops.attention(x, w, qv, bias, heads, rate, drops)
             else:
                 out = _composite_attention(x, w, qv, key_bias, bias, heads, rate, drops)
-            (out * proj).sum().backward()
+            tsum(out * proj).backward()
             # the mask is drawn at the same point of the stream
             results.append((out.data, x.grad, *np.split(w.grad, 3, axis=1), qv.grad,
                             drops.random(3)))
@@ -406,7 +408,7 @@ class TestBackward:
     def test_trace_is_topologically_ordered(self):
         x = Tensor(np.ones(4), requires_grad=True)
         h = x * 2.0
-        y = (h * h + h).sum()  # h has three consumers
+        y = tsum(h * h + h)  # h has three consumers
         order = trace(y)
         position = {id(t): i for i, t in enumerate(order)}
         assert len(position) == len(order)
@@ -422,6 +424,19 @@ class TestBackward:
         ctx = Ctx(training=True, rng=np.random.default_rng(0))
         loss = batch_loss(net, next(iter(loader.epoch(0))), ctx)
         assert len(trace(loss)) == nodes
+
+    def test_every_tensor_method_op_runs_in_a_desk_training_tape(self):
+        """The ops that ``Tensor``'s methods record are the ones the desk
+        image and text training steps run; an op only tests use lives in
+        tests/helpers.py."""
+        recorded = set(re.findall(r'from_op\("(\w+)"', inspect.getsource(Tensor)))
+        ran = set()
+        for model in ("image", "text"):
+            net, loader = desk_net_and_loader(model)
+            ctx = Ctx(training=True, rng=np.random.default_rng(0))
+            ran |= {t.op for t in trace(batch_loss(net, next(iter(loader.epoch(0))), ctx))}
+        assert recorded == {"add", "mul", "reshape", "slice", "mean", "sigmoid"}
+        assert recorded <= ran
 
     def test_each_node_visited_once(self):
         x = Tensor(2.0, requires_grad=True)
@@ -439,7 +454,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
             b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-            out = ops.softmax(a @ b).sum()
+            out = tsum(ops.softmax(matmul(a, b)))
             out.backward()
             return out.data.copy(), a.grad.copy()
 
