@@ -8,7 +8,9 @@ produced, so any result can be traced back to its inputs and reproduced.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -41,6 +43,9 @@ METRICS_HEADER = "epoch,train_loss,val_acc,lr"
 # published multi-GPU reference point printed next to bench-scaling output
 REFERENCE_REDUCTION_AT_4 = 75.4
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc mallopt parameters and values: M_MMAP_THRESHOLD (its 64-bit maximum)
+# and M_TRIM_THRESHOLD
+HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 # -- config -> domain objects -------------------------------------------------------
@@ -128,11 +133,25 @@ def _splits(cfg: Config, section: str, corpus: Corpus, count: int, seed: int):
 # -- artifact writing ---------------------------------------------------------------
 
 
+@functools.cache
+def keep_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds, both since setting either one
+    ends glibc's dynamic adjustment, so that freed eval activations stay in
+    the heap rather than being faulted back in every batch.  Returns whether
+    both took; a no-op without mallopt.  Forked workers inherit the setting."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in HEAP_THRESHOLDS)
+
+
 def _environment() -> dict:
     """The machine and numeric stack a run ran on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "heap_kept": keep_heap(),
             "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
             **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
@@ -394,8 +413,7 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
     steps = cfg.getint("bench", "steps", minimum=1)
     warmup = cfg.getint("bench", "warmup", minimum=0)
-    n = args.batch_per_worker if args.batch_per_worker_given \
-        else cfg.getint("bench", "batch_per_worker", minimum=1)
+    n = args.batch_per_worker
     source = "--k-list" if args.k_list else "bench.k_list"
     k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
     if not k_list:
@@ -435,8 +453,16 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors on main's one-line channel instead of exiting 2
+    with the usage block (subparsers inherit the class)."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="docbench",
         description="Dual-modality document classification benchmark")
     parser.add_argument("--version", action="version", version=__version__)
@@ -485,23 +511,28 @@ HANDLERS = {
 
 
 def _resolve(args, cfg: Config):
-    """Fill the defaults of the command's flags from [run], check each
-    against its minimum, and record whether --batch-per-worker was given."""
+    """Fill the defaults of the command's flags from the section it reads
+    them from ([run], or [bench] for bench-scaling's --batch-per-worker),
+    check each against its minimum, and record whether --batch-per-worker
+    was given."""
     args.batch_per_worker_given = getattr(args, "batch_per_worker", None) is not None
     for key, minimum in (("seed", 0), ("workers", 1), ("batch_per_worker", 1)):
         if not hasattr(args, key):
             continue
         value = getattr(args, key)
         if value is None:
-            setattr(args, key, cfg.getint("run", key, minimum=minimum))
+            bench = (args.command, key) == ("bench-scaling", "batch_per_worker")
+            setattr(args, key, cfg.getint("bench" if bench else "run", key,
+                                          minimum=minimum))
         elif value < minimum:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= {minimum}, "
                               f"got {value}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    keep_heap()
     try:
+        args = build_parser().parse_args(argv)
         cfg = Config.load(args.config, args.overrides)
         _resolve(args, cfg)
         return HANDLERS[args.command](args, cfg)

@@ -11,6 +11,7 @@ import dataclasses
 import glob
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -241,6 +242,7 @@ def test_run_json_records_its_environment(work):
     assert 1 <= env["affinity"] <= os.cpu_count()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert env[var] == os.environ.get(var)
+    assert env["heap_kept"] is (platform.libc_ver()[0] == "glibc")
 
 
 def test_run_json_is_strict_json_after_an_empty_val_split(work, tmp_path):
@@ -384,6 +386,34 @@ def test_ensemble_eval_report_and_summary(work, tmp_path):
     assert set(m["summary"]) == {"median", "mean"}
     assert set(m["summary"]["median"]) == {"image_acc", "text_acc",
                                            "ensemble_acc"}
+
+
+# Runs ensemble-eval twice in one process and prints the minor page faults
+# of the second, steady-state command on the last line.
+FAULT_PROBE = """
+import resource, sys
+from docbench import cli
+assert cli.main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_ensemble_eval_keeps_its_heap(work, tmp_path):
+    """Freed eval activations stay in the heap: under glibc's dynamic
+    thresholds the second command faults about 21,800 pages back in."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, "ensemble-eval", "--data", work["data"],
+         "--image-checkpoint", os.path.join(work["pre"], "checkpoint.tensors"),
+         "--text-checkpoint", os.path.join(work["txt"], "checkpoint.tensors"),
+         "--out", str(tmp_path / "ens")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 2000
 
 
 def test_ensemble_eval_weight_wiring(work, tmp_path):
@@ -714,10 +744,26 @@ def test_a_command_rejects_the_flags_it_does_not_read(capsys, command, flag):
     needs = {"gen-data": [], "bench-scaling": ["--data", "d"],
              "ensemble-eval": ["--data", "d", "--image-checkpoint", "i",
                                "--text-checkpoint", "t"]}[command]
+    assert cli.main([command, "--out", "o", *needs, flag, "2"]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 2\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["pretrain", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as info:
-        cli.main([command, "--out", "o", *needs, flag, "2"])
-    assert info.value.code == 2
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        cli.main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_bench_scaling_ignores_run_batch_per_worker(work, tmp_path):
+    """bench-scaling reads bench.batch_per_worker, so a bad
+    run.batch_per_worker is not its error."""
+    out = str(tmp_path / "bench")
+    run_cli("bench-scaling", "--data", work["data"], "--out", out,
+            "--set", "run.batch_per_worker=0", "--k-list", "1",
+            "--set", "bench.steps=1", "--set", "bench.warmup=0")
+    assert read_manifest(out)["n"] == 4  # desk bench.batch_per_worker
 
 
 def test_unknown_profile_fails_cleanly(tmp_path):
