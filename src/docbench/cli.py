@@ -327,13 +327,14 @@ def cmd_train_text(args, cfg: Config) -> int:
                            {"batch_size": global_batch})
 
 
-def _probs(net, loader) -> tuple:
-    """Class probabilities and labels over one pass of an eval loader."""
-    probs, labels = [], []
-    for logits, y in predict(net, loader):
-        probs.append(ops.softmax(Tensor(logits), axis=-1).data)
-        labels.append(y)
-    return np.concatenate(probs), np.concatenate(labels)
+def _probs(net, loader) -> np.ndarray:
+    """Class probabilities from one pass of an eval loader, as the rows of a
+    (len(corpus), C) array at the loader's documents (the others are 0)."""
+    rows = np.concatenate([ops.softmax(Tensor(logits), axis=-1).data
+                           for logits, _ in predict(net, loader)])
+    probs = np.zeros((len(loader.corpus), rows.shape[1]))
+    probs[loader.order(0)] = rows
+    return probs
 
 
 def cmd_ensemble_eval(args, cfg: Config) -> int:
@@ -356,36 +357,30 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     image_net.load(args.image_checkpoint)
     text_net = _build_text_net(cfg, corpus, args.seed)
     text_net.load(args.text_checkpoint)
-
-    max_len = _text_max_len(cfg, corpus)
-    dims = _scaled_dims(cfg)
     fixed = cfg.build(FusionWeights, "ensemble")
+
+    # every document any split scores is forwarded once per model
+    needed = sorted({i for plan in plans
+                     for i in plan.test + (plan.val if use_grid else [])})
+    image = _probs(image_net, ImageLoader(
+        corpus, needed, eval_batch, image_size=_scaled_dims(cfg).input_size,
+        augment=None, seed=args.seed, drop_last=False))
+    text = _probs(text_net, TextLoader(corpus, needed, eval_batch,
+                                       _text_max_len(cfg, corpus),
+                                       seed=args.seed, drop_last=False))
+    labels = corpus.labels()
 
     rows = []
     for plan in plans:
-        def loaders(indices):
-            img = ImageLoader(corpus, indices, eval_batch,
-                              image_size=dims.input_size, augment=None,
-                              seed=args.seed, drop_last=False)
-            txt = TextLoader(corpus, indices, eval_batch, max_len,
-                             seed=args.seed, drop_last=False)
-            return img, txt
-
-        if use_grid:
-            vi, vt = loaders(plan.val)
-            pv_img, yv = _probs(image_net, vi)
-            pv_txt, _ = _probs(text_net, vt)
-            weights = grid_search_weights(pv_txt, pv_img, yv, step)
-        else:
-            weights = fixed
-        ti, tt = loaders(plan.test)
-        p_img, y = _probs(image_net, ti)
-        p_txt, _ = _probs(text_net, tt)
-        fused = fuse(p_txt, p_img, weights)
+        val, test = plan.val, plan.test
+        weights = (grid_search_weights(text[val], image[val], labels[val], step)
+                   if use_grid else fixed)
+        fused = fuse(text[test], image[test], weights)
+        y = labels[test]
         rows.append({
             "split_id": plan.split_id,
-            "image_acc": evaluate(predict_classes(p_img), y),
-            "text_acc": evaluate(predict_classes(p_txt), y),
+            "image_acc": evaluate(predict_classes(image[test]), y),
+            "text_acc": evaluate(predict_classes(text[test]), y),
             "ensemble_acc": evaluate(predict_classes(fused), y),
             "w1": weights.w1, "w2": weights.w2,
         })
@@ -402,6 +397,7 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
     }
     _write_manifest(out, "ensemble-eval", args, cfg, {"report": report_path},
                     started, extra={"summary": summary,
+                                    "predicted_documents": len(needed),
                                     "grid_search": use_grid,
                                     "image_checkpoint": args.image_checkpoint,
                                     "text_checkpoint": args.text_checkpoint})

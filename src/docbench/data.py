@@ -25,7 +25,6 @@ import numpy as np
 from .tensor import atomic_write, load_tensors, save_tensors
 
 PAD_ID = 0
-UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3
 NUM_SPECIALS = 4
@@ -371,12 +370,17 @@ class _Loader:
         n = len(self.indices)
         return n // self.batch_size if self.drop_last else -(-n // self.batch_size)
 
-    def _batches(self, epoch_index: int):
-        """Yield (document indices, labels) for each batch of the epoch."""
+    def order(self, epoch_index: int) -> np.ndarray:
+        """The documents of the epoch's batches, in batch order: the (seed,
+        epoch) shuffle of the index set, less its short tail under drop_last."""
         order = np.random.default_rng(
             np.random.SeedSequence([self.seed, epoch_index])).permutation(self.indices)
-        limit = self.batches_per_epoch() * self.batch_size if self.drop_last else len(order)
-        for start in range(0, limit, self.batch_size):
+        return order[:self.batches_per_epoch() * self.batch_size]
+
+    def _batches(self, epoch_index: int):
+        """Yield (document indices, labels) for each batch of the epoch."""
+        order = self.order(epoch_index)
+        for start in range(0, len(order), self.batch_size):
             chunk = [int(i) for i in order[start:start + self.batch_size]]
             yield chunk, np.array([self.corpus.documents[i].label for i in chunk])
 

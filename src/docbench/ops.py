@@ -288,26 +288,42 @@ def embedding(table: Tensor, ids) -> Tensor:
 def _normalize(op, x, scale, shift, axis, eps, stats=None):
     """``(x - mean) / sqrt(var + eps) * scale + shift`` as one tape node.
 
-    ``x`` is viewed as (M, C) rows of its last axis, and the statistics
-    reduce ``axis`` of that view: 0 gives per-column (per-channel)
-    statistics, 1 per-row ones.  A plain sum is a product with a ones
+    ``x`` is viewed as (M, C) rows of its last axis.  With constant
+    ``stats=(mean, var)`` (per column) the op is the per-channel affine map
+    ``x * a + s``, ``a = scale / sqrt(var + eps)`` and ``s = shift - mean * a``:
+    one multiply and one add, with x-hat formed only if a backward pass
+    needs it for d(scale).  Otherwise the statistics are the batch's own,
+    reducing ``axis`` of the view (0 per column, 1 per row), and the
+    backward pass runs through them; a plain sum is a product with a ones
     vector, a sum of products one einsum, which forms no product buffer.
-    With ``stats=(mean, var)`` the statistics are constants, otherwise they
-    are the batch's own and the backward pass runs through them.  Returns
-    the output and the statistics used.
+    Returns the output and the statistics used.
     """
     x2 = x.data.reshape(-1, scale.shape[0])
     rows = np.ones(len(x2))  # rows @ a: column sums
+    if stats is not None:
+        mu, var = stats
+        std = np.sqrt(var + eps)
+        a = scale.data / std
+        out = np.multiply(x2, a)
+        out += shift.data - mu * a
+
+        def vjp(g):
+            g2 = g.reshape(x2.shape)
+            dscale = np.einsum("mc,mc->c", g2, (x2 - mu) / std)
+            return (g2 * a).reshape(x.shape), dscale, rows @ g2
+
+        return Tensor.from_op(op, (x, scale, shift), out.reshape(x.shape), vjp), mu, var
+
     ones = rows if axis == 0 else np.ones(x2.shape[1])
     along = "mc,mc->c" if axis == 0 else "mc,mc->m"  # sums of products, as mean does
 
     def mean(a):
         return ones @ a / ones.size if axis == 0 else (a @ ones / ones.size)[:, None]
 
-    mu = mean(x2) if stats is None else stats[0]
+    mu = mean(x2)
     normed = x2 - mu
     out = np.empty_like(normed)  # holds the squares until the output is written
-    var = mean(np.multiply(normed, normed, out=out)) if stats is None else stats[1]
+    var = mean(np.multiply(normed, normed, out=out))
     std = np.sqrt(var + eps)
     normed /= std
     np.multiply(normed, scale.data, out=out)
@@ -317,10 +333,9 @@ def _normalize(op, x, scale, shift, axis, eps, stats=None):
         g2 = g.reshape(x2.shape)
         d = g2 * scale.data
         dscale = np.einsum("mc,mc->c", g2, normed)
-        if stats is None:
-            proj = np.einsum(along, d, normed).reshape(mu.shape) / ones.size
-            d -= mean(d)
-            d -= normed * proj
+        proj = np.einsum(along, d, normed).reshape(mu.shape) / ones.size
+        d -= mean(d)
+        d -= normed * proj
         d /= std
         return d.reshape(x.shape), dscale, rows @ g2
 

@@ -10,8 +10,6 @@ its row of one shared-memory block, worker 0 runs the ring over the rows in
 place, and each worker divides its row by k into its buffer.  Pipes to and
 from worker 0 order these steps; k=1 runs the same exchange over one row.
 Every replica then applies the identical optimizer step, so none diverges.
-``naive_allreduce``, a fixed-order summation, is the oracle the ring is
-tested against.
 """
 
 from __future__ import annotations
@@ -77,19 +75,6 @@ def ring_allreduce(vectors):
         for p in range(k - 1):          # all-gather from row c-1
             rows[(c + p) % k, chunk] = rows[(c - 1) % k, chunk]
     return [row.reshape(shape) for row in rows]
-
-
-def naive_allreduce(vectors):
-    """Sequential fixed-order summation; the oracle the ring must match."""
-    arrays = [np.asarray(v) for v in vectors]
-    if not arrays:
-        raise ValueError("need at least one vector")
-    total = arrays[0].copy()
-    for a in arrays[1:]:
-        if a.shape != total.shape:
-            raise ValueError(f"length mismatch: {a.shape} vs {total.shape}")
-        total = total + a
-    return [total.copy() for _ in arrays]
 
 
 _READY, _FAILED = b"r", b"f"

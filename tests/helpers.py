@@ -2,8 +2,10 @@
 
 The oracle half is deliberately independent of the library's fast paths:
 plain loops, sequential sums, central finite differences, channels-first
-(N,C,H,W) image arithmetic where the library runs channels-last, and the
-optimizer steps as plain out-of-place formulas.  It also holds the tape ops
+(N,C,H,W) image arithmetic where the library runs channels-last, the
+optimizer steps as plain out-of-place formulas, and ensemble-eval as the
+per-split loop that forwards every split's documents on loaders of their
+own.  It also holds the tape ops
 that no model records (``sub``, ``div``, ``matmul``, ``transpose``,
 ``tsum``, ``sqrt`` and ``relu``), built on ``Tensor.from_op`` with their
 closed-form vjps; the tests compose them into references for the fused ops.
@@ -13,9 +15,14 @@ dropout, so worker sharding cannot change its per-sample behavior.
 
 import numpy as np
 
+from docbench import ops
+from docbench.data import ImageLoader, TextLoader
+from docbench.ensemble import (evaluate, fuse, grid_search_weights,
+                               predict_classes)
 from docbench.layers import (Activation, BatchNorm2d, Conv2d, DepthwiseConv2d,
                              Dropout, GlobalAvgPool, Linear, MBConv, Network,
                              Sequential, SqueezeExcite)
+from docbench.parallel import predict
 from docbench.tensor import Tensor, _expand_reduced, _unbroadcast
 
 
@@ -123,6 +130,19 @@ def adam_step_oracle(params, grads, lr, cfg, t, m, v):
     m_hat = m / (1.0 - cfg.beta1 ** t)
     v_hat = v / (1.0 - cfg.beta2 ** t)
     params -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def naive_allreduce(vectors):
+    """Sequential fixed-order summation; the oracle the ring must match."""
+    arrays = [np.asarray(v) for v in vectors]
+    if not arrays:
+        raise ValueError("need at least one vector")
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        if a.shape != total.shape:
+            raise ValueError(f"length mismatch: {a.shape} vs {total.shape}")
+        total = total + a
+    return [total.copy() for _ in arrays]
 
 
 def nhwc(x):
@@ -279,3 +299,47 @@ def fd_gradcheck(func, inputs, rtol=1e-6, step=1e-5, rng=None):
                 f"{numeric:.10g} (rel err {err:.3g})"
             )
     return worst
+
+
+def ensemble_rows_oracle(corpus, plans, image_net, text_net, eval_batch,
+                         image_size, max_len, seed, fixed, step=None):
+    """ensemble-eval's per-split loop: every split forwards its own test
+    documents, and its val documents too when ``step`` asks for a weight
+    grid search, on loaders of their own.  Returns the report rows and, per
+    forwarded set, (document ids, image probabilities, text probabilities),
+    the ids recomputed from the loaders' (seed, epoch 0) shuffle."""
+    forwarded = []
+
+    def probs(indices):
+        docs = np.random.default_rng(
+            np.random.SeedSequence([seed, 0])).permutation(indices)
+        loaders = ((image_net, ImageLoader(corpus, indices, eval_batch, image_size,
+                                           seed=seed, drop_last=False)),
+                   (text_net, TextLoader(corpus, indices, eval_batch, max_len,
+                                         seed=seed, drop_last=False)))
+        out = []
+        for net, loader in loaders:
+            batches = list(predict(net, loader))
+            out.append(np.concatenate([ops.softmax(Tensor(logits), axis=-1).data
+                                       for logits, _ in batches]))
+            labels = np.concatenate([y for _, y in batches])
+        forwarded.append((docs, *out))
+        return (*out, labels)
+
+    rows = []
+    for plan in plans:
+        if step is None:
+            weights = fixed
+        else:
+            pv_img, pv_txt, yv = probs(plan.val)
+            weights = grid_search_weights(pv_txt, pv_img, yv, step)
+        p_img, p_txt, y = probs(plan.test)
+        fused = fuse(p_txt, p_img, weights)
+        rows.append({
+            "split_id": plan.split_id,
+            "image_acc": evaluate(predict_classes(p_img), y),
+            "text_acc": evaluate(predict_classes(p_txt), y),
+            "ensemble_acc": evaluate(predict_classes(fused), y),
+            "w1": weights.w1, "w2": weights.w2,
+        })
+    return rows, forwarded

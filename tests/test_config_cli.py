@@ -5,6 +5,7 @@ generated corpus -> pretrained checkpoint -> fine-tune / text / ensemble.
 """
 
 import ast
+import collections
 import configparser
 import contextlib
 import dataclasses
@@ -20,12 +21,13 @@ import types
 import numpy as np
 import pytest
 
-from docbench import cli
+from docbench import cli, layers
 from docbench.config import Config, ConfigError, profile_path
-from docbench.data import AugmentConfig
-from docbench.ensemble import FusionWeights
+from docbench.data import AugmentConfig, load_corpus
+from docbench.ensemble import FusionWeights, report_csv
 from docbench.optim import SgdConfig, StlrConfig
 from docbench.tensor import load_tensors
+from helpers import ensemble_rows_oracle
 
 # -- config layering -----------------------------------------------------------------
 
@@ -386,6 +388,77 @@ def test_ensemble_eval_report_and_summary(work, tmp_path):
     assert set(m["summary"]) == {"median", "mean"}
     assert set(m["summary"]["median"]) == {"image_acc", "text_acc",
                                            "ensemble_acc"}
+
+
+def ensemble_argv(work, out, *overrides):
+    argv = ["ensemble-eval", "--data", work["data"], "--out", str(out),
+            "--image-checkpoint", os.path.join(work["pre"], "checkpoint.tensors"),
+            "--text-checkpoint", os.path.join(work["txt"], "checkpoint.tensors")]
+    for item in overrides:
+        argv += ["--set", item]
+    return argv
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_ensemble_eval_forwards_each_document_once(work, tmp_path, monkeypatch,
+                                                   grid):
+    """Each model forwards every document some split scores once: the
+    union of the test sets, and of the val sets too under a grid search."""
+    forwarded = collections.Counter()
+    for cls in (layers.ImageNetwork, layers.TextNetwork):
+        def counted(net, inputs, ctx, *rest, original=cls.logits, name=cls.__name__):
+            if not ctx.training:
+                forwarded[name] += len(inputs)
+            return original(net, inputs, ctx, *rest)
+        monkeypatch.setattr(cls, "logits", counted)
+    overrides = [f"ensemble.grid_search={str(grid).lower()}"]
+    out = tmp_path / "ens"
+    assert cli.main(ensemble_argv(work, out, *overrides)) == 0
+    cfg = Config.load(None, overrides)
+    plans = cli._splits(cfg, "splits", load_corpus(work["data"]),
+                        cfg.getint("splits", "n_splits"), cfg.getint("run", "seed"))
+    assert len(plans) == 3
+    needed = {i for plan in plans for i in plan.test + (plan.val if grid else [])}
+    assert forwarded == {"ImageNetwork": len(needed), "TextNetwork": len(needed)}
+    assert read_manifest(out)["predicted_documents"] == len(needed)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_ensemble_eval_matches_the_per_split_oracle(work, tmp_path, monkeypatch,
+                                                    grid):
+    """report.csv is byte-identical to the per-split loop's, and every
+    document's probabilities agree with the ones that loop formed in other
+    batches to BLAS round-off."""
+    predicted, original = [], cli._probs
+
+    def recorded(net, loader):
+        predicted.append(original(net, loader))
+        return predicted[-1]
+
+    monkeypatch.setattr(cli, "_probs", recorded)
+    overrides = [f"ensemble.grid_search={str(grid).lower()}"]
+    out = tmp_path / "ens"
+    assert cli.main(ensemble_argv(work, out, *overrides)) == 0
+
+    cfg = Config.load(None, overrides)
+    seed = cfg.getint("run", "seed")
+    corpus = load_corpus(work["data"])
+    image_net = cli._build_image_net(cfg, corpus, seed)
+    image_net.load(os.path.join(work["pre"], "checkpoint.tensors"))
+    text_net = cli._build_text_net(cfg, corpus, seed)
+    text_net.load(os.path.join(work["txt"], "checkpoint.tensors"))
+    rows, forwarded = ensemble_rows_oracle(
+        corpus, cli._splits(cfg, "splits", corpus, cfg.getint("splits", "n_splits"), seed),
+        image_net, text_net, cfg.getint("run", "eval_batch"),
+        cli._scaled_dims(cfg).input_size, cli._text_max_len(cfg, corpus), seed,
+        cfg.build(FusionWeights, "ensemble"),
+        cfg.getfloat("ensemble", "grid_step") if grid else None)
+    with open(out / "report.csv", "rb") as fh:
+        assert fh.read() == report_csv(rows).encode()
+    image, text = predicted
+    for docs, p_image, p_text in forwarded:
+        assert np.max(np.abs(image[docs] - p_image)) <= 1e-15
+        assert np.max(np.abs(text[docs] - p_text)) <= 1e-15
 
 
 # Runs ensemble-eval twice in one process and prints the minor page faults

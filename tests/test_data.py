@@ -450,6 +450,28 @@ def test_text_loader_shapes_and_determinism():
     np.testing.assert_array_equal(batches[0][0], again[0][0])
 
 
+@pytest.mark.parametrize("drop_last", [True, False])
+def test_loader_order_is_the_epochs_document_order(drop_last):
+    """order(e) names the documents of epoch(e)'s batches, in batch order,
+    for both loaders."""
+    corpus = generate_corpus(small_spec(), seed=0)
+    docs = corpus.documents
+    indices = range(3, 41)  # 38 documents: a short last batch of 6
+    image = ImageLoader(corpus, indices, batch_size=8, seed=2, drop_last=drop_last)
+    text = TextLoader(corpus, indices, batch_size=8, max_len=10, seed=2,
+                      drop_last=drop_last)
+    for epoch in (0, 1):
+        order = image.order(epoch)
+        assert len(order) == (32 if drop_last else 38)
+        np.testing.assert_array_equal(
+            np.concatenate([x for x, _ in image.epoch(epoch)]),
+            np.stack([docs[i].image for i in order]))
+        np.testing.assert_array_equal(text.order(epoch), order)
+        np.testing.assert_array_equal(
+            np.concatenate([ids for ids, _, _ in text.epoch(epoch)]),
+            np.stack([tokenize(docs[i].tokens, 10)[0] for i in order]))
+
+
 def test_loader_rejects_bad_batch_size():
     corpus = generate_corpus(small_spec(), seed=0)
     with pytest.raises(ValueError):

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import FlatImageModel, ReplayLoader, flat_params
+from helpers import FlatImageModel, ReplayLoader, flat_params, naive_allreduce
 
 from docbench.layers import Ctx
 from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import (CSV_HEADER, ParallelConfig, _run_workers,
                                eval_image_accuracy, image_loss, measure_speedup,
-                               naive_allreduce, predict, ring_allreduce,
-                               train_parallel)
+                               predict, ring_allreduce, train_parallel)
 
 
 # -- all-reduce oracle ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,25 @@ class TestFusedNorms:
         out = layer(x, Ctx(training=False))
         assert out.op == "batch_norm"
         assert {p.op for p in out.parents} == {"leaf"}
+
+    def test_eval_batch_norm_allocates_only_its_output(self):
+        """Under no_grad eval batch norm is x * a + s written into its
+        output, with no centred or normalized copy of x beside it."""
+        rng = np.random.default_rng(0)
+        layer = BatchNorm2d(32)
+        layer.running_mean[:] = rng.standard_normal(32)
+        layer.running_var[:] = rng.random(32) + 0.5
+        x = Tensor(rng.standard_normal((8, 16, 16, 32)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = layer(x, Ctx(training=False))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < 1.5 * x.data.nbytes
 
 
 def _composite_attention(x, w, qv, key_bias, bias, heads, rate, rng):
