@@ -125,7 +125,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     """(N,H,W,C) -> (N,C) spatial mean."""
     _check_4d(x, "global_avg_pool input")
-    return x.mean(axis=(1, 2))
+    _, h, w, _ = x.shape
+    return Tensor.from_op("global_avg_pool", (x,), x.data.mean(axis=(1, 2)), lambda g: (
+        np.broadcast_to(g[:, None, None, :], x.shape) / (h * w),))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

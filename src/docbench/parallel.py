@@ -335,20 +335,20 @@ def batch_loss(net, batch, ctx):
     return softmax_crossentropy(_logits(net, inputs, ctx), labels)
 
 
-def predict(net, loader, epoch: int = 0):
-    """Eval-mode (logits array, labels) for each batch of the loader's epoch,
-    each forward run under no_grad().  Recording is back on at each yield,
+def predict(net, loader):
+    """Eval-mode (logits array, labels) for each batch of the loader's epoch
+    0, each forward run under no_grad().  Recording is back on at each yield,
     so a caller that stops early cannot leave it off."""
     ctx = Ctx(training=False)
-    for *inputs, labels in loader.epoch(epoch):
+    for *inputs, labels in loader.epoch(0):
         with no_grad():
             logits = _logits(net, inputs, ctx).data
         yield logits, labels
 
 
-def accuracy(net, loader, epoch: int = 0) -> float:
+def accuracy(net, loader) -> float:
     hits = total = 0
-    for logits, y in predict(net, loader, epoch):
+    for logits, y in predict(net, loader):
         pred = np.argmax(logits, axis=1)
         hits += int((pred == y).sum())
         total += len(y)

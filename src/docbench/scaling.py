@@ -33,9 +33,6 @@ class ScalingSpec:
     def constraint_residual(self) -> float:
         return abs(self.alpha * self.beta ** 2 * self.gamma ** 2 - CONSTRAINT_TARGET)
 
-    def constraint_ok(self, tolerance: float = CONSTRAINT_TOLERANCE) -> bool:
-        return self.constraint_residual <= tolerance
-
 
 @dataclass(frozen=True)
 class ScaledDims:
@@ -52,7 +49,7 @@ def round_to_even(value: float) -> int:
 
 def compound_scale(spec: ScalingSpec, base_input_size: int = 224) -> ScaledDims:
     """Expand a scaling spec into concrete multipliers and an input size."""
-    if not spec.constraint_ok():
+    if spec.constraint_residual > CONSTRAINT_TOLERANCE:
         warnings.warn(
             f"scaling bases miss alpha*beta^2*gamma^2 ~= {CONSTRAINT_TARGET} "
             f"(residual {spec.constraint_residual:.4f})", stacklevel=2)

@@ -106,8 +106,6 @@ class Tensor:
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         out = a.data.reshape(shape)
         return Tensor.from_op("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
@@ -123,19 +121,7 @@ class Tensor:
 
         return Tensor.from_op("slice", (a,), out, vjp)
 
-    # -- mean and the one pointwise nonlinearity ---------------------------------
-
-    def mean(self, axis=None, keepdims=False):
-        a = self
-        out = a.data.mean(axis=axis, keepdims=keepdims)
-        count = a.data.size if axis is None else np.prod(
-            [a.shape[i] for i in _normalize_axes(axis, a.ndim)]
-        )
-
-        def vjp(g):
-            return (_expand_reduced(g, a.shape, axis, keepdims) / count,)
-
-        return Tensor.from_op("mean", (a,), out, vjp)
+    # -- the one pointwise nonlinearity ----------------------------------------
 
     def sigmoid(self):
         a = self
@@ -188,23 +174,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def _normalize_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _expand_reduced(g, shape, axis, keepdims):
-    """Broadcast a reduced gradient back to the pre-reduction shape."""
-    if axis is None:
-        return np.broadcast_to(g, shape).copy()
-    if not keepdims:
-        g = np.expand_dims(g, tuple(sorted(_normalize_axes(axis, len(shape)))))
-    return np.broadcast_to(g, shape).copy()
 
 
 # -- tape ------------------------------------------------------------------------

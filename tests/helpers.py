@@ -7,8 +7,9 @@ optimizer steps as plain out-of-place formulas, and ensemble-eval as the
 per-split loop that forwards every split's documents on loaders of their
 own.  It also holds the tape ops
 that no model records (``sub``, ``div``, ``matmul``, ``transpose``,
-``tsum``, ``sqrt`` and ``relu``), built on ``Tensor.from_op`` with their
-closed-form vjps; the tests compose them into references for the fused ops.
+``tsum``, ``tmean``, ``sqrt`` and ``relu``), built on ``Tensor.from_op``
+with their closed-form vjps; the tests compose them into references for the
+fused ops.
 The model half provides a tiny classifier with no batch statistics or
 dropout, so worker sharding cannot change its per-sample behavior.
 """
@@ -23,7 +24,7 @@ from docbench.layers import (Activation, BatchNorm2d, Conv2d, DepthwiseConv2d,
                              Dropout, GlobalAvgPool, Linear, MBConv, Network,
                              Sequential, SqueezeExcite)
 from docbench.parallel import predict
-from docbench.tensor import Tensor, _expand_reduced, _unbroadcast
+from docbench.tensor import Tensor, _unbroadcast
 
 
 def sub(a, b):
@@ -50,9 +51,23 @@ def transpose(a, *axes):
                           lambda g: (g.transpose(inverse),))
 
 
+def _expand(g, shape, axis, keepdims):
+    """Broadcast a reduced gradient back to the pre-reduction ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a, axis=None, keepdims=False):
     return Tensor.from_op("sum", (a,), a.data.sum(axis=axis, keepdims=keepdims),
-                          lambda g: (_expand_reduced(g, a.shape, axis, keepdims),))
+                          lambda g: (_expand(g, a.shape, axis, keepdims),))
+
+
+def tmean(a, axis=None, keepdims=False):
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size // out.size
+    return Tensor.from_op("mean", (a,), out,
+                          lambda g: (_expand(g, a.shape, axis, keepdims) / count,))
 
 
 def sqrt(a):
@@ -79,7 +94,7 @@ class FlatImageModel(Network):
     def logits(self, x, ctx):
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
-        h = x.reshape((x.shape[0], -1))
+        h = x.reshape(x.shape[0], -1)
         h = relu(self.group("body")(h, ctx))
         return self.group("head")(h, ctx)
 

@@ -17,7 +17,7 @@ from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              no_grad, save_tensors, trace)
 from helpers import (conv2d_loops, conv2d_loops_vjp, div, matmul, nchw, nhwc,
-                     same_crop, same_pad, sqrt, sub, transpose, tsum)
+                     same_crop, same_pad, sqrt, sub, tmean, transpose, tsum)
 
 
 def conv_against_loops(x, w, stride=1):
@@ -194,14 +194,34 @@ class TestSigmoid:
         assert np.max(np.abs(got - _two_branch_sigmoid(x.astype(np.float64)))) < 1e-7
 
 
+class TestGlobalAvgPool:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_composite_mean_bit_for_bit(self, seed):
+        """The pooling node runs the composite mean's arithmetic: equal
+        outputs and input gradients, not only within finite-difference
+        tolerance."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, *rng.integers(1, 6, size=2), int(rng.integers(1, 4))))
+        proj = Tensor(rng.standard_normal((2, x.shape[3])))
+        results = []
+        for pool in (ops.global_avg_pool, lambda t: tmean(t, (1, 2))):
+            xt = Tensor(x, requires_grad=True)
+            out = pool(xt)
+            tsum(out * proj).backward()
+            results.append((out.data, xt.grad))
+        (out, grad), (ref_out, ref_grad) = results
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
+
+
 def _composite_batch_norm(layer, x, training):
     """Batch norm from primitive Tensor ops, updating ``layer``'s buffers as
     ``BatchNorm2d`` does."""
     c = x.shape[1]
     if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        mean = tmean(x, axis=(0, 2, 3), keepdims=True)
         centered = sub(x, mean)
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+        var = tmean(centered * centered, axis=(0, 2, 3), keepdims=True)
         normed = div(centered, sqrt(var + layer.eps))
         m = layer.momentum
         layer.running_mean += m * (mean.data.reshape(c) - layer.running_mean)
@@ -455,7 +475,7 @@ class TestBackward:
             net, loader = desk_net_and_loader(model)
             ctx = Ctx(training=True, rng=np.random.default_rng(0))
             ran |= {t.op for t in trace(batch_loss(net, next(iter(loader.epoch(0))), ctx))}
-        assert recorded == {"add", "mul", "reshape", "slice", "mean", "sigmoid"}
+        assert recorded == {"add", "mul", "reshape", "slice", "sigmoid"}
         assert recorded <= ran
 
     def test_each_node_visited_once(self):
