@@ -2,17 +2,19 @@
 
 Image activations are channels-last (N,H,W,C); filters keep the (K,C,F,F)
 dense and (C,1,F,F) depthwise layouts.  Dense convolutions are one im2col
-GEMM (a 1x1 filter at stride 1 needs no gather); depthwise convolution sums
-strided tap views.  Batch and layer norm, the affine map (``linear``: one
-2-D GEMM whatever x's leading axes) and multi-head self-attention (its
-q/k/v projection included) are single ops with the closed-form backward.
+GEMM (a 1x1 filter at stride 1 needs no gather); depthwise convolution is
+one einsum over a strided window view.  Batch and layer norm, the affine
+map (``linear``: one 2-D GEMM whatever x's leading axes) and multi-head
+self-attention (its q/k/v projection included) are single ops with the
+closed-form backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from . import tensor
 from .tensor import ShapeError, Tensor, _sigmoid
 
 
@@ -22,9 +24,9 @@ def _check_4d(t, what, layout="N,H,W,C"):
 
 
 def _same_pad(x, field, stride):
-    """Zero-pad (N,H,W,C) ``x`` so a ``field``-wide filter at ``stride``
-    yields ceil(extent / stride) outputs per spatial axis, the odd pixel of
-    padding going after; returns ``(padded, top, left, out_h, out_w)``."""
+    """C-contiguous zero-padding of (N,H,W,C) ``x`` so a ``field``-wide filter
+    at ``stride`` yields ceil(extent / stride) outputs per spatial axis, the
+    odd pixel going after; returns ``(padded, top, left, out_h, out_w)``."""
     pads, outs = [], []
     for extent in x.shape[1:3]:
         out = -(-extent // stride)
@@ -32,12 +34,7 @@ def _same_pad(x, field, stride):
         pads.append((total // 2, total - total // 2))
         outs.append(out)
     xp = np.pad(x, ((0, 0), *pads, (0, 0))) if any(map(any, pads)) else x
-    return xp, pads[0][0], pads[1][0], *outs
-
-
-def _tap(a, i, j, stride, out_h, out_w):
-    """Strided (N, Ho, Wo, C) view of ``a`` under filter tap (i, j)."""
-    return a[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+    return np.ascontiguousarray(xp), pads[0][0], pads[1][0], *outs
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
@@ -70,6 +67,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     def vjp(g):
         g2 = g.reshape(-1, k)
         dw = (g2.T @ cols).reshape(w.shape)
+        if not x.requires_grad:  # an image batch: its gradient has no reader
+            return None, dw
         dcols = g2 @ wmat
         if pointwise:
             return dcols.reshape(x.shape), dw
@@ -77,20 +76,39 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         dxp = np.zeros(xp.shape)
         for i in range(f):
             for j in range(f):
-                view = _tap(dxp, i, j, stride, out_h, out_w)
-                view += dwin[..., i, j]
+                dxp[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] \
+                    += dwin[..., i, j]
         return dxp[:, top : top + h, left : left + wd], dw
 
     return Tensor.from_op("conv2d", (x, w), out.reshape(n, out_h, out_w, k), vjp)
+
+
+def _windows(a, planes, stride, out_h, out_w):
+    """(N,Ho,Wo,C) correlation of C-contiguous (N,H,W,C) ``a`` with (C,F,F)
+    ``planes`` at ``stride``, one einsum over the read-only window view it
+    also returns: (N,Ho,1,Wo*C,F,F) at stride 1, the q axis an output row's
+    contiguous (w, c) entries, else (N,Ho,Wo,C,F,F).  Its strides come from
+    the shape (numpy may report any stride for a length-1 axis).  For C > 1
+    the inner loop runs along q: each output sums its taps in (i, j) order."""
+    n, hp, wp, c = a.shape
+    f, item = planes.shape[-1], a.itemsize
+    row = wp * c * item
+    taps = np.ascontiguousarray(planes.transpose(1, 2, 0))  # (F, F, C)
+    lead, steps = (n, out_h, out_w, c), (hp * row, stride * row, stride * c * item, item)
+    if stride == 1:
+        lead, steps, taps = (n, out_h, 1, out_w * c), (hp * row, row, 0, item), np.tile(taps, out_w)
+    view = as_strided(a, lead + (f, f), steps + (row, c * item), writeable=False)
+    return np.einsum("nhwqij,ijq->nhwq", view, taps).reshape(n, out_h, out_w, c), view
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """Same-padded per-channel convolution of (N,H,W,C) input with one
     (C,1,F,F) filter plane per channel.
 
-    Each tap's (C,) filter row is tiled once along the output width, so at
-    stride 1 a tap multiply runs over contiguous (Wo*C) rows; each tap's dW
-    is one einsum of g with the tap, which forms no product buffer.
+    Forward, dW and dX are one einsum each over a window view: dW contracts
+    g with the forward's view, then sums over the tiled output width; dX is
+    the stride-1 correlation of the flipped filters with g, dilated by the
+    stride and offset by F-1 less the forward's top/left padding.
     """
     _check_4d(x, "depthwise input")
     _check_4d(w, "depthwise filters", "C,1,F,F")
@@ -101,23 +119,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     if cf != c:
         raise ShapeError(f"one filter plane per channel required: {cf} planes, {c} channels")
     xp, top, left, out_h, out_w = _same_pad(x.data, f, stride)
-    # (F, F, Wo, C): tap (i, j)'s filter row repeated across the output width
-    rows = np.repeat(w.data[:, 0].transpose(1, 2, 0)[:, :, None], out_w, axis=2)
-    out = np.zeros((n, out_h, out_w, c))
-    term = np.empty_like(out)
-    for i in range(f):
-        for j in range(f):
-            out += np.multiply(_tap(xp, i, j, stride, out_h, out_w), rows[i, j], out=term)
+    out, view = _windows(xp, w.data[:, 0], stride, out_h, out_w)
 
     def vjp(g):
-        dw, term = np.empty_like(w.data), np.empty_like(g)
-        dxp = np.zeros_like(xp)
-        for i in range(f):
-            for j in range(f):
-                dw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, _tap(xp, i, j, stride, out_h, out_w))
-                view = _tap(dxp, i, j, stride, out_h, out_w)
-                view += np.multiply(g, rows[i, j], out=term)
-        return dxp[:, top : top + h, left : left + wd], dw
+        dw = np.einsum("nhwq,nhwqij->ijq", g.reshape(view.shape[:4]), view)
+        gp = np.zeros((n, h + f - 1, wd + f - 1, c))
+        gp[:, f - 1 - top :: stride, f - 1 - left :: stride][:, :out_h, :out_w] = g
+        dx = _windows(gp, w.data[:, 0, ::-1, ::-1], 1, h, wd)[0]
+        return dx, dw.reshape(f, f, -1, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
     return Tensor.from_op("depthwise_conv2d", (x, w), out, vjp)
 
@@ -147,9 +156,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x), fused."""
+    """x * sigmoid(x), fused; written over the sigmoid when no tape keeps it."""
     s = _sigmoid(x.data)
-    out = x.data * s
+    out = np.multiply(x.data, s, out=None if tensor._recording and x.requires_grad else s)
 
     def vjp(g):
         d = x.data * s

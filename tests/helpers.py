@@ -229,6 +229,21 @@ def same_crop(dxp, shape, field, stride=1):
     return dxp[:, :, tops[0] : tops[0] + shape[2], tops[1] : tops[1] + shape[3]]
 
 
+def depthwise_taps(x, w, stride=1):
+    """The depthwise forward of (N,H,W,C) ``x`` with (C,1,F,F) ``w`` as a loop
+    over the F x F taps: each tap's strided view of the same-padded input,
+    times the tap's filter row, joins a zeroed output in (i, j) order."""
+    f = w.shape[2]
+    xp = nhwc(same_pad(nchw(x), f, stride))
+    out_h, out_w = -(-x.shape[1] // stride), -(-x.shape[2] // stride)
+    out = np.zeros((x.shape[0], out_h, out_w, x.shape[3]))
+    for i in range(f):
+        for j in range(f):
+            out += xp[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] \
+                * w[:, 0, i, j]
+    return out
+
+
 def _swish(x):
     return x / (1.0 + np.exp(-x))
 

@@ -16,8 +16,9 @@ from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              no_grad, save_tensors, trace)
-from helpers import (conv2d_loops, conv2d_loops_vjp, div, matmul, nchw, nhwc,
-                     same_crop, same_pad, sqrt, sub, tmean, transpose, tsum)
+from helpers import (conv2d_loops, conv2d_loops_vjp, depthwise_taps, div, matmul,
+                     nchw, nhwc, same_crop, same_pad, sqrt, sub, tmean, transpose,
+                     tsum)
 
 
 def conv_against_loops(x, w, stride=1):
@@ -94,6 +95,17 @@ class TestConv2d:
         with pytest.raises(ShapeError, match=r"^depthwise filters must be 4-D \(C,1,F,F\)"):
             ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((2, 3, 3))))
 
+    def test_image_input_gets_no_gradient(self):
+        # the stem: a stride-2 3x3 conv whose input is a constant image batch
+        x = Tensor(np.ones((2, 9, 9, 1)))
+        w = Tensor(np.random.default_rng(4).standard_normal((4, 1, 3, 3)), requires_grad=True)
+        out = ops.conv2d(x, w, stride=2)
+        dx, dw = out._vjp(np.ones(out.shape))
+        assert dx is None
+        assert dw.shape == w.shape
+        tsum(out).backward()
+        assert x.grad is None and np.array_equal(w.grad, dw)
+
     def test_zero_extent_input_rejected(self):
         with pytest.raises(ShapeError, match="zero-extent"):
             Tensor(np.zeros((1, 1, 0, 3)))
@@ -116,24 +128,55 @@ class TestDepthwise:
             per = ops.conv2d(Tensor(x[..., c : c + 1]), Tensor(w[c : c + 1])).data
             assert np.max(np.abs(got[..., c : c + 1] - per)) < 1e-12
 
-    @pytest.mark.parametrize("stride,extent", [(1, 5), (2, 5), (2, 6)])
-    def test_matches_per_channel_loops_and_their_gradients(self, stride, extent):
+    @pytest.mark.parametrize("stride,extent,kernel,channels", [
+        pytest.param(1, 5, 3, 3, id="1-5"), pytest.param(2, 5, 3, 3, id="2-5"),
+        pytest.param(2, 6, 3, 3, id="2-6"), (1, 6, 5, 3), (2, 5, 5, 3), (2, 6, 5, 1),
+        (1, 5, 3, 1), (2, 6, 1, 1), (1, 4, 5, 2)])
+    def test_matches_per_channel_loops_and_their_gradients(self, stride, extent, kernel,
+                                                           channels):
         rng = np.random.default_rng(stride + extent)
-        x = rng.standard_normal((2, 3, extent, extent + 1))
-        w = rng.standard_normal((3, 1, 3, 3))
+        x = rng.standard_normal((2, channels, extent, extent + 1))
+        w = rng.standard_normal((channels, 1, kernel, kernel))
         xt, wt = Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True)
         out = ops.depthwise_conv2d(xt, wt, stride=stride)
         proj = nchw(rng.standard_normal(out.shape))
         tsum(out * Tensor(nhwc(proj))).backward()
-        xp = same_pad(x, 3, stride)
-        for c in range(3):
+        xp = same_pad(x, kernel, stride)
+        for c in range(channels):
             want = conv2d_loops(xp[:, c : c + 1], w[c : c + 1], stride=stride)
             dxp, dw = conv2d_loops_vjp(xp[:, c : c + 1], w[c : c + 1],
                                        proj[:, c : c + 1], stride=stride)
             assert np.max(np.abs(nchw(out.data)[:, c : c + 1] - want)) < 1e-12
-            dx = same_crop(dxp, (2, 1, extent, extent + 1), 3, stride)
+            dx = same_crop(dxp, (2, 1, extent, extent + 1), kernel, stride)
             assert np.max(np.abs(nchw(xt.grad)[:, c : c + 1] - dx)) < 1e-12
             assert np.max(np.abs(wt.grad[c : c + 1] - dw)) < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("channels", [1, 8, 48, 96])
+    @pytest.mark.parametrize("extent", [5, 6])
+    def test_forward_is_the_tap_loop(self, stride, kernel, channels, extent):
+        """Each output sums its taps in (i, j) order from 0, so the op is
+        bit-identical to the tap loop for every channel count a model layer
+        has.  With one channel numpy's einsum sums each filter row before it
+        joins the output (its inner loop runs along the row's taps), which
+        differs from the loop by round-off only."""
+        rng = np.random.default_rng(kernel * channels + extent)
+        w = rng.standard_normal((channels, 1, kernel, kernel))
+        cases = [nhwc(rng.standard_normal((2, channels, extent, extent + 1))),
+                 nhwc(rng.standard_normal((2, channels, extent + 3, extent)))[:, 1:-1:2],
+                 np.asfortranarray(rng.standard_normal((2, extent, extent + 2, channels)))]
+        if channels == 1:
+            cases += [nhwc(rng.standard_normal((1, 1, extent, extent))),
+                      rng.standard_normal((1, extent + 1, extent, 1))]
+        for x in cases:
+            got = ops.depthwise_conv2d(Tensor(x), Tensor(w), stride=stride).data
+            want = depthwise_taps(x, w, stride)
+            if channels > 1 or kernel == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * kernel ** 2 * np.abs(x).max() \
+                    * np.abs(w).max()
 
     def test_output_extent(self):
         out = ops.depthwise_conv2d(Tensor(np.zeros((1, 5, 5, 3))),
@@ -551,6 +594,26 @@ class TestNoGrad:
                 raise KeyError("inside")
         (x * x).backward()
         assert x.grad == 4.0
+
+    def test_eval_swish_writes_over_its_sigmoid(self):
+        """With no tape the product overwrites the sigmoid buffer: one
+        activation-sized allocation, and the recorded op's bits."""
+        x = Tensor(np.random.default_rng(6).standard_normal((8, 16, 16, 32)),
+                   requires_grad=True)
+        taped = ops.swish(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = ops.swish(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.data.nbytes
+        assert np.array_equal(out.data, taped.data)
+        assert np.array_equal(ops.swish(Tensor(x.data)).data, taped.data)
+        sig = _sigmoid(x.data)  # the taped vjp still holds the sigmoid
+        assert np.array_equal(taped._vjp(np.ones(x.shape))[0], (x.data * sig) * (1.0 - sig) + sig)
 
     def test_backward_under_the_switch_names_it(self):
         x = Tensor(3.0, requires_grad=True)
