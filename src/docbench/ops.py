@@ -6,7 +6,9 @@ GEMM (a 1x1 filter at stride 1 needs no gather); depthwise convolution is
 one einsum over a strided window view.  Batch and layer norm, the affine
 map (``linear``: one 2-D GEMM whatever x's leading axes) and multi-head
 self-attention (its q/k/v projection included) are single ops with the
-closed-form backward.
+closed-form backward.  Batch norm is one per-channel affine map in both
+modes: of the centred batch in training, its gradient taken from the column
+sums of g and g times the centred batch, and of x itself at eval.
 """
 
 from __future__ import annotations
@@ -23,6 +25,21 @@ def _check_4d(t, what, layout="N,H,W,C"):
         raise ShapeError(f"{what} must be 4-D ({layout}), got shape {t.shape}")
 
 
+def _embed(a, shape, top, left):
+    """C-contiguous zero-bordered array of ``shape`` holding (N,H,W,C) ``a``
+    at spatial offset (top, left): the border strips are zeroed and the
+    interior copied, so each byte is written once."""
+    _, h, w, _ = a.shape
+    out = np.empty(shape, a.dtype)
+    out[:, :top] = 0.0
+    out[:, top + h :] = 0.0
+    band = out[:, top : top + h]
+    band[:, :, :left] = 0.0
+    band[:, :, left + w :] = 0.0
+    band[:, :, left : left + w] = a
+    return out
+
+
 def _same_pad(x, field, stride):
     """C-contiguous zero-padding of (N,H,W,C) ``x`` so a ``field``-wide filter
     at ``stride`` yields ceil(extent / stride) outputs per spatial axis, the
@@ -33,8 +50,11 @@ def _same_pad(x, field, stride):
         total = max((out - 1) * stride + field - extent, 0)
         pads.append((total // 2, total - total // 2))
         outs.append(out)
-    xp = np.pad(x, ((0, 0), *pads, (0, 0))) if any(map(any, pads)) else x
-    return np.ascontiguousarray(xp), pads[0][0], pads[1][0], *outs
+    if not any(map(any, pads)):
+        return np.ascontiguousarray(x), 0, 0, *outs
+    n, h, w, c = x.shape
+    (top, bottom), (left, right) = pads
+    return _embed(x, (n, top + h + bottom, left + w + right, c), top, left), top, left, *outs
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
@@ -43,7 +63,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     The (N*Ho*Wo, C*F*F) column matrix holds one (C,F,F) window per row (a
     1x1 filter at stride 1 needs no gather: the input is it), so forward, dx
-    and dW are one GEMM each against the (K, C*F*F) filter matrix.
+    and dW are one GEMM each against the (K, C*F*F) filter matrix.  dx is
+    formed only for an input that takes a gradient, and for a wider filter
+    it is an F x F tap scatter into a zeroed padded buffer.  No model layer
+    reaches that scatter: the one wider dense conv is the stem, whose input
+    is the image batch, so it runs for the general op's correctness only.
     """
     _check_4d(x, "conv2d input")
     _check_4d(w, "conv2d filters", "K,C,F,F")
@@ -123,8 +147,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     def vjp(g):
         dw = np.einsum("nhwq,nhwqij->ijq", g.reshape(view.shape[:4]), view)
-        gp = np.zeros((n, h + f - 1, wd + f - 1, c))
-        gp[:, f - 1 - top :: stride, f - 1 - left :: stride][:, :out_h, :out_w] = g
+        shape = (n, h + f - 1, wd + f - 1, c)
+        if stride == 1:  # g fills the interior
+            gp = _embed(g, shape, f - 1 - top, f - 1 - left)
+        else:
+            gp = np.zeros(shape)
+            gp[:, f - 1 - top :: stride, f - 1 - left :: stride][:, :out_h, :out_w] = g
         dx = _windows(gp, w.data[:, 0, ::-1, ::-1], 1, h, wd)[0]
         return dx, dw.reshape(f, f, -1, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 
@@ -160,9 +188,9 @@ def swish(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     out = np.multiply(x.data, s, out=None if tensor._recording and x.requires_grad else s)
 
-    def vjp(g):
-        d = x.data * s
-        d *= 1.0 - s
+    def vjp(g):  # (x*s*(1-s) + s) * g, with x*s the output
+        d = 1.0 - s
+        d *= out
         d += s
         d *= g
         return (d,)
@@ -296,73 +324,77 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor.from_op("embedding", (table,), out, vjp)
 
 
-def _normalize(op, x, scale, shift, axis, eps, stats=None):
-    """``(x - mean) / sqrt(var + eps) * scale + shift`` as one tape node.
-
-    ``x`` is viewed as (M, C) rows of its last axis.  With constant
-    ``stats=(mean, var)`` (per column) the op is the per-channel affine map
-    ``x * a + s``, ``a = scale / sqrt(var + eps)`` and ``s = shift - mean * a``:
-    one multiply and one add, with x-hat formed only if a backward pass
-    needs it for d(scale).  Otherwise the statistics are the batch's own,
-    reducing ``axis`` of the view (0 per column, 1 per row), and the
-    backward pass runs through them; a plain sum is a product with a ones
-    vector, a sum of products one einsum, which forms no product buffer.
-    Returns the output and the statistics used.
-    """
-    x2 = x.data.reshape(-1, scale.shape[0])
-    rows = np.ones(len(x2))  # rows @ a: column sums
-    if stats is not None:
-        mu, var = stats
-        std = np.sqrt(var + eps)
-        a = scale.data / std
-        out = np.multiply(x2, a)
-        out += shift.data - mu * a
-
-        def vjp(g):
-            g2 = g.reshape(x2.shape)
-            dscale = np.einsum("mc,mc->c", g2, (x2 - mu) / std)
-            return (g2 * a).reshape(x.shape), dscale, rows @ g2
-
-        return Tensor.from_op(op, (x, scale, shift), out.reshape(x.shape), vjp), mu, var
-
-    ones = rows if axis == 0 else np.ones(x2.shape[1])
-    along = "mc,mc->c" if axis == 0 else "mc,mc->m"  # sums of products, as mean does
-
-    def mean(a):
-        return ones @ a / ones.size if axis == 0 else (a @ ones / ones.size)[:, None]
-
-    mu = mean(x2)
-    normed = x2 - mu
-    out = np.empty_like(normed)  # holds the squares until the output is written
-    var = mean(np.multiply(normed, normed, out=out))
-    std = np.sqrt(var + eps)
-    normed /= std
-    np.multiply(normed, scale.data, out=out)
-    out += shift.data
-
-    def vjp(g):
-        g2 = g.reshape(x2.shape)
-        d = g2 * scale.data
-        dscale = np.einsum("mc,mc->c", g2, normed)
-        proj = np.einsum(along, d, normed).reshape(mu.shape) / ones.size
-        d -= mean(d)
-        d -= normed * proj
-        d /= std
-        return d.reshape(x.shape), dscale, rows @ g2
-
-    return Tensor.from_op(op, (x, scale, shift), out.reshape(x.shape), vjp), mu, var
-
-
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
                running=None):
     """Per-channel normalization of (N,H,W,C) over batch, height and width,
     with (C,) ``gamma`` and ``beta`` and the batch statistics or the constant
     ``running=(mean, var)`` pair; returns ``(out, mean, var)``, all (C,)
-    but ``out``."""
+    but ``out``.
+
+    Over the (M, C) rows of x both modes are one affine map, ``a = gamma /
+    std`` with ``std = sqrt(var + eps)``.  Training maps the centred batch
+    ``xc``, ``xc * a + beta``, and takes ``dx = (g - dbeta/M - xc *
+    dgamma/(M*std)) * a`` from the column sums d(beta) and d(gamma).  Constant
+    statistics map x itself, ``x * a + (beta - mean * a)``, and dx is
+    ``g * a``.  Column sums are products with a ones vector, sums of
+    products one einsum, which forms no product buffer.
+    """
     _check_4d(x, "batch norm input")
-    return _normalize("batch_norm", x, gamma, beta, 0, eps, running)
+    x2 = x.data.reshape(-1, gamma.shape[0])
+    m = len(x2)
+    rows = np.ones(m)  # rows @ a: column sums
+    training = running is None
+    if training:
+        mu = rows @ x2 / m
+        xc = x2 - mu
+        var = np.einsum("mc,mc->c", xc, xc) / m
+    else:
+        mu, var = running
+    std = np.sqrt(var + eps)
+    a = gamma.data / std
+    out = np.multiply(xc if training else x2, a)
+    out += beta.data if training else beta.data - mu * a
+
+    def vjp(g):
+        g2 = g.reshape(x2.shape)
+        dbeta = rows @ g2
+        dgamma = np.einsum("mc,mc->c", g2, xc if training else x2 - mu) / std
+        if not training:
+            return (g2 * a).reshape(x.shape), dgamma, dbeta
+        dx = xc * (dgamma / (m * std))
+        np.subtract(g2, dx, out=dx)
+        dx -= dbeta / m
+        dx *= a
+        return dx.reshape(x.shape), dgamma, dbeta
+
+    return Tensor.from_op("batch_norm", (x, gamma, beta), out.reshape(x.shape), vjp), mu, var
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    return _normalize("layer_norm", x, gain, bias, 1, eps)[0]
+    """Normalize the last axis to zero mean / unit variance, then scale+shift,
+    with the backward pass through the row statistics."""
+    x2 = x.data.reshape(-1, gain.shape[0])
+    cols = np.ones(x2.shape[1])
+
+    def mean(a):  # (M, 1) row means
+        return (a @ cols / cols.size)[:, None]
+
+    mu = mean(x2)
+    normed = x2 - mu
+    out = np.empty_like(normed)  # holds the squares until the output is written
+    std = np.sqrt(mean(np.multiply(normed, normed, out=out)) + eps)
+    normed /= std
+    np.multiply(normed, gain.data, out=out)
+    out += bias.data
+
+    def vjp(g):
+        g2 = g.reshape(x2.shape)
+        d = g2 * gain.data
+        dgain = np.einsum("mc,mc->c", g2, normed)
+        proj = np.einsum("mc,mc->m", d, normed)[:, None] / cols.size
+        d -= mean(d)
+        d -= normed * proj
+        d /= std
+        return d.reshape(x.shape), dgain, np.ones(len(x2)) @ g2
+
+    return Tensor.from_op("layer_norm", (x, gain, bias), out.reshape(x.shape), vjp)

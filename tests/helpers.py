@@ -3,7 +3,8 @@
 The oracle half is deliberately independent of the library's fast paths:
 plain loops, sequential sums, central finite differences, channels-first
 (N,C,H,W) image arithmetic where the library runs channels-last, the
-optimizer steps as plain out-of-place formulas, and ensemble-eval as the
+optimizer steps as plain out-of-place formulas, training batch norm's
+backward through the normalized batch, and ensemble-eval as the
 per-split loop that forwards every split's documents on loaders of their
 own.  It also holds the tape ops
 that no model records (``sub``, ``div``, ``matmul``, ``transpose``,
@@ -242,6 +243,22 @@ def depthwise_taps(x, w, stride=1):
             out += xp[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] \
                 * w[:, 0, i, j]
     return out
+
+
+def batch_norm_backward(x, g, gamma, eps):
+    """(dx, d(gamma), d(beta)) of training batch norm over the (M, C) rows of
+    ``x`` with upstream ``g``, through x-hat: ``d = g * gamma``, less its
+    column mean, less x-hat times the column mean of ``d * x-hat``, over the
+    standard deviation."""
+    normed = x - x.mean(axis=0)
+    std = np.sqrt((normed * normed).mean(axis=0) + eps)
+    normed /= std
+    d = g * gamma
+    proj = (d * normed).mean(axis=0)
+    d -= d.mean(axis=0)
+    d -= normed * proj
+    d /= std
+    return d, (g * normed).sum(axis=0), g.sum(axis=0)
 
 
 def _swish(x):

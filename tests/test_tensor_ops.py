@@ -16,9 +16,20 @@ from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
                              no_grad, save_tensors, trace)
-from helpers import (conv2d_loops, conv2d_loops_vjp, depthwise_taps, div, matmul,
-                     nchw, nhwc, same_crop, same_pad, sqrt, sub, tmean, transpose,
-                     tsum)
+from helpers import (batch_norm_backward, conv2d_loops, conv2d_loops_vjp,
+                     depthwise_taps, div, matmul, nchw, nhwc, same_crop, same_pad,
+                     sqrt, sub, tmean, transpose, tsum)
+
+
+def peak_bytes(fn):
+    """Peak bytes traced while ``fn()`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def conv_against_loops(x, w, stride=1):
@@ -109,6 +120,41 @@ class TestConv2d:
     def test_zero_extent_input_rejected(self):
         with pytest.raises(ShapeError, match="zero-extent"):
             Tensor(np.zeros((1, 1, 0, 3)))
+
+
+class TestSamePad:
+    """Only the border strips of a padded buffer are zeroed, so each case
+    first frees a NaN-filled array of the buffer's size: a border entry left
+    unwritten in reused memory would show as NaN."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("field", [1, 3, 5])
+    @pytest.mark.parametrize("extent", [5, 6])
+    def test_matches_np_pad(self, stride, field, extent):
+        x = np.random.default_rng(field * extent).standard_normal((2, extent, extent + 1, 8))
+        want = nhwc(same_pad(nchw(x), field, stride))
+        stale = np.full(want.shape, np.nan)
+        del stale
+        got, top, left, out_h, out_w = ops._same_pad(x, field, stride)
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+        assert (out_h, out_w) == (-(-extent // stride), -(-(extent + 1) // stride))
+        assert np.array_equal(got[:, top : top + extent, left : left + extent + 1], x)
+
+    @pytest.mark.parametrize("field", [1, 3, 5])
+    def test_depthwise_stride1_dx(self, field):
+        rng = np.random.default_rng(field)
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((3, 1, field, field))
+        out = ops.depthwise_conv2d(Tensor(nhwc(x), requires_grad=True),
+                                   Tensor(w, requires_grad=True))
+        g = rng.standard_normal(out.shape)
+        stale = np.full((2, 5 + field - 1, 6 + field - 1, 3), np.nan)
+        del stale
+        dx = nchw(out._vjp(g)[0])
+        xp = same_pad(x, field)
+        for c in range(3):
+            dxp, _ = conv2d_loops_vjp(xp[:, c : c + 1], w[c : c + 1], nchw(g)[:, c : c + 1])
+            assert np.max(np.abs(dx[:, c : c + 1] - same_crop(dxp, (2, 1, 5, 6), field))) < 1e-12
 
 
 class TestDepthwise:
@@ -337,6 +383,46 @@ class TestFusedNorms:
             tracemalloc.stop()
         assert out.shape == x.shape
         assert peak < 1.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (1, 1, 1, 3), (2, 3, 3, 1),
+                                       (3, 4, 5, 2), (8, 4, 4, 16)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_training_backward_is_the_x_hat_form(self, shape):
+        """The closed form from the column sums d(beta) and d(gamma) is the
+        backward through x-hat, whose two column means are d(beta)*gamma/M
+        and d(gamma)*gamma/M; one row (M = 1) and one channel included."""
+        rng = np.random.default_rng(sum(shape))
+        c = shape[3]
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        g = rng.standard_normal(shape)
+        gamma = rng.standard_normal(c) + 1.0
+        out = ops.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                             Tensor(rng.standard_normal(c), requires_grad=True))[0]
+        dx, dgamma, dbeta = out._vjp(g)
+        want = batch_norm_backward(x.reshape(-1, c), g.reshape(-1, c), gamma, 1e-5)
+        for got, ref in zip((dx.reshape(-1, c), dgamma, dbeta), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-12
+
+    def test_training_vjp_allocates_only_dx(self):
+        """The training backward keeps no normalized or product copy of the
+        batch beside the gradient it returns."""
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((8, 16, 16, 32)), requires_grad=True)
+        out = ops.batch_norm(x, Tensor(rng.random(32) + 0.5, requires_grad=True),
+                             Tensor(rng.standard_normal(32), requires_grad=True))[0]
+        g = rng.standard_normal(x.shape)
+        assert peak_bytes(lambda: out._vjp(g)) < 1.5 * x.data.nbytes
+
+
+class TestSwish:
+    def test_vjp_allocates_only_its_gradient(self):
+        """The backward forms 1 - s and scales and shifts it in place."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((8, 16, 16, 32)), requires_grad=True)
+        out = ops.swish(x)
+        g = rng.standard_normal(x.shape)
+        assert peak_bytes(lambda: out._vjp(g)) < 1.5 * x.data.nbytes
 
 
 def _composite_attention(x, w, qv, key_bias, bias, heads, rate, rng):
