@@ -409,15 +409,12 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
     started = time.time()
     steps = cfg.getint("bench", "steps", minimum=1)
     warmup = cfg.getint("bench", "warmup", minimum=0)
-    n = args.batch_per_worker
-    source = "--k-list" if args.k_list else "bench.k_list"
-    k_list = args.k_list or cfg.getints("bench", "k_list", minimum=1)
+    n = cfg.getint("bench", "batch_per_worker", minimum=1)
+    k_list = cfg.getints("bench", "k_list", minimum=1)
     if not k_list:
         raise ConfigError("bench.k_list must list at least one worker count")
-    if min(k_list) < 1:
-        raise ConfigError(f"{source} must be >= 1, got {min(k_list)}")
     if k_list[0] != 1:  # speedup and efficiency are taken against k=1
-        raise ConfigError(f"{source} must start with 1, got {k_list}")
+        raise ConfigError(f"bench.k_list must start with 1, got {k_list}")
     corpus = load_corpus(args.data)
     dims = _scaled_dims(cfg)
 
@@ -491,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-checkpoint", required=True)
     p.add_argument("--text-checkpoint", required=True)
     p = sub.add_parser("bench-scaling", help="measure data-parallel speedup")
-    common(p, "--data", "--batch-per-worker")
-    p.add_argument("--k-list", type=int, nargs="+", default=None)
+    common(p, "--data")
     return parser
 
 
@@ -507,19 +503,15 @@ HANDLERS = {
 
 
 def _resolve(args, cfg: Config):
-    """Fill the defaults of the command's flags from the section it reads
-    them from ([run], or [bench] for bench-scaling's --batch-per-worker),
-    check each against its minimum, and record whether --batch-per-worker
-    was given."""
+    """Fill the defaults of the command's flags from [run], check each
+    against its minimum, and record whether --batch-per-worker was given."""
     args.batch_per_worker_given = getattr(args, "batch_per_worker", None) is not None
     for key, minimum in (("seed", 0), ("workers", 1), ("batch_per_worker", 1)):
         if not hasattr(args, key):
             continue
         value = getattr(args, key)
         if value is None:
-            bench = (args.command, key) == ("bench-scaling", "batch_per_worker")
-            setattr(args, key, cfg.getint("bench" if bench else "run", key,
-                                          minimum=minimum))
+            setattr(args, key, cfg.getint("run", key, minimum=minimum))
         elif value < minimum:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= {minimum}, "
                               f"got {value}")

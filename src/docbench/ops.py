@@ -1,20 +1,20 @@
 """Neural-network operations on :class:`~docbench.tensor.Tensor`.
 
 Image activations are channels-last (N,H,W,C); filters keep the (K,C,F,F)
-dense and (C,1,F,F) depthwise layouts.  Dense convolutions are one im2col
-GEMM (a 1x1 filter at stride 1 needs no gather); depthwise convolution is
-one einsum over a strided window view.  Batch and layer norm, the affine
-map (``linear``: one 2-D GEMM whatever x's leading axes) and multi-head
-self-attention (its q/k/v projection included) are single ops with the
-closed-form backward.  Batch norm is one per-channel affine map in both
-modes: of the centred batch in training, its gradient taken from the column
-sums of g and g times the centred batch, and of x itself at eval.
+dense and (C,1,F,F) depthwise layouts.  Both convolutions run over one
+read-only window view and pad or dilate with one helper: a dense one is a
+window-matrix GEMM each way, a depthwise one an einsum.  Batch and layer
+norm, the affine map (``linear``: one 2-D GEMM whatever x's leading axes)
+and multi-head self-attention (its q/k/v projection included) are single
+ops with the closed-form backward.  Batch norm is one per-channel affine
+map in both modes: of the centred batch in training, its gradient taken
+from the column sums of g and g times the centred batch, and of x itself at
+eval.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import tensor
 from .tensor import ShapeError, Tensor, _sigmoid
@@ -25,11 +25,18 @@ def _check_4d(t, what, layout="N,H,W,C"):
         raise ShapeError(f"{what} must be 4-D ({layout}), got shape {t.shape}")
 
 
-def _embed(a, shape, top, left):
-    """C-contiguous zero-bordered array of ``shape`` holding (N,H,W,C) ``a``
-    at spatial offset (top, left): the border strips are zeroed and the
-    interior copied, so each byte is written once."""
+def _dilate(a, shape, top, left, stride=1):
+    """C-contiguous zero array of ``shape`` holding (N,H,W,C) ``a``'s pixel
+    (i, j) at (top + stride*i, left + stride*j), or ``a`` itself when it is
+    C-contiguous and fills ``shape``.  At stride 1 only the border strips are
+    zeroed and the interior copied, so each byte is written once."""
+    if a.shape == shape:
+        return np.ascontiguousarray(a)
     _, h, w, _ = a.shape
+    if stride > 1:
+        out = np.zeros(shape, a.dtype)
+        out[:, top::stride, left::stride][:, :h, :w] = a
+        return out
     out = np.empty(shape, a.dtype)
     out[:, :top] = 0.0
     out[:, top + h :] = 0.0
@@ -50,24 +57,38 @@ def _same_pad(x, field, stride):
         total = max((out - 1) * stride + field - extent, 0)
         pads.append((total // 2, total - total // 2))
         outs.append(out)
-    if not any(map(any, pads)):
-        return np.ascontiguousarray(x), 0, 0, *outs
     n, h, w, c = x.shape
     (top, bottom), (left, right) = pads
-    return _embed(x, (n, top + h + bottom, left + w + right, c), top, left), top, left, *outs
+    return _dilate(x, (n, top + h + bottom, left + w + right, c), top, left), top, left, *outs
+
+
+def _view(a, f, stride, out_h, out_w, tiled=False):
+    """Read-only view of the F x F windows of C-contiguous (N,H,W,C) ``a`` at
+    ``stride``: (N,Ho,Wo,C,F,F), or with ``tiled`` (stride 1 only)
+    (N,Ho,1,Wo*C,F,F), its q axis an output row's contiguous (w, c) entries.
+    Its strides come from the shape (numpy may report any stride for a
+    length-1 axis), and numpy checks their extent against ``a``."""
+    n, hp, wp, c = a.shape
+    item = a.itemsize
+    row = wp * c * item
+    lead, steps = (n, out_h, out_w, c), (hp * row, stride * row, stride * c * item, item)
+    if tiled:
+        lead, steps = (n, out_h, 1, out_w * c), (hp * row, row, 0, item)
+    view = np.ndarray(lead + (f, f), a.dtype, a, 0, steps + (row, c * item))
+    view.flags.writeable = False
+    return view
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     """Same-padded, bias-free 2-D cross-correlation of (N,H,W,C) input with
     (K,C,F,F) filters, giving (N,Ho,Wo,K).
 
-    The (N*Ho*Wo, C*F*F) column matrix holds one (C,F,F) window per row (a
-    1x1 filter at stride 1 needs no gather: the input is it), so forward, dx
-    and dW are one GEMM each against the (K, C*F*F) filter matrix.  dx is
-    formed only for an input that takes a gradient, and for a wider filter
-    it is an F x F tap scatter into a zeroed padded buffer.  No model layer
-    reaches that scatter: the one wider dense conv is the stem, whose input
-    is the image batch, so it runs for the general op's correctness only.
+    Forward and dW are one GEMM each between the (N*Ho*Wo, C*F*F) window
+    matrix of the padded input and the (K, C*F*F) filter matrix.  dX, formed
+    only for an input that takes a gradient, is one GEMM of the stride-1
+    window matrix of g, dilated by the stride and offset by F-1 less the
+    forward's top/left padding, with the (K*F*F, C) flipped filter matrix.
+    For a 1x1 filter at stride 1 both window matrices are views of x and g.
     """
     _check_4d(x, "conv2d input")
     _check_4d(w, "conv2d filters", "K,C,F,F")
@@ -77,51 +98,32 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"only square filters supported, got {f}x{fw}")
     if cf != c:
         raise ShapeError(f"filter channels {cf} do not match input channels {c}")
-
-    pointwise = f == 1 and stride == 1
     xp, top, left, out_h, out_w = _same_pad(x.data, f, stride)
-    if pointwise:
-        cols = x.data.reshape(-1, c)
-    else:  # (N, Ho, Wo, C, F, F) windows, copied into rows
-        cols = sliding_window_view(xp, (f, f), axis=(1, 2))[:, ::stride, ::stride]
-        cols = cols.reshape(-1, c * f * f)
+    cols = _view(xp, f, stride, out_h, out_w).reshape(-1, c * f * f)
     wmat = w.data.reshape(k, -1)
     out = cols @ wmat.T
 
     def vjp(g):
-        g2 = g.reshape(-1, k)
-        dw = (g2.T @ cols).reshape(w.shape)
+        dw = (g.reshape(-1, k).T @ cols).reshape(w.shape)
         if not x.requires_grad:  # an image batch: its gradient has no reader
             return None, dw
-        dcols = g2 @ wmat
-        if pointwise:
-            return dcols.reshape(x.shape), dw
-        dwin = dcols.reshape(n, out_h, out_w, c, f, f)
-        dxp = np.zeros(xp.shape)
-        for i in range(f):
-            for j in range(f):
-                dxp[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] \
-                    += dwin[..., i, j]
-        return dxp[:, top : top + h, left : left + wd], dw
+        gp = _dilate(g, (n, h + f - 1, wd + f - 1, k), f - 1 - top, f - 1 - left, stride)
+        flipped = w.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c)
+        return (_view(gp, f, 1, h, wd).reshape(-1, k * f * f) @ flipped).reshape(x.shape), dw
 
     return Tensor.from_op("conv2d", (x, w), out.reshape(n, out_h, out_w, k), vjp)
 
 
 def _windows(a, planes, stride, out_h, out_w):
     """(N,Ho,Wo,C) correlation of C-contiguous (N,H,W,C) ``a`` with (C,F,F)
-    ``planes`` at ``stride``, one einsum over the read-only window view it
-    also returns: (N,Ho,1,Wo*C,F,F) at stride 1, the q axis an output row's
-    contiguous (w, c) entries, else (N,Ho,Wo,C,F,F).  Its strides come from
-    the shape (numpy may report any stride for a length-1 axis).  For C > 1
-    the inner loop runs along q: each output sums its taps in (i, j) order."""
-    n, hp, wp, c = a.shape
-    f, item = planes.shape[-1], a.itemsize
-    row = wp * c * item
+    ``planes`` at ``stride``, one einsum over the window view it also
+    returns, tiled at stride 1.  For C > 1 the inner loop runs along q: each
+    output sums its taps in (i, j) order."""
+    n, _, _, c = a.shape
     taps = np.ascontiguousarray(planes.transpose(1, 2, 0))  # (F, F, C)
-    lead, steps = (n, out_h, out_w, c), (hp * row, stride * row, stride * c * item, item)
     if stride == 1:
-        lead, steps, taps = (n, out_h, 1, out_w * c), (hp * row, row, 0, item), np.tile(taps, out_w)
-    view = as_strided(a, lead + (f, f), steps + (row, c * item), writeable=False)
+        taps = np.tile(taps, out_w)
+    view = _view(a, planes.shape[-1], stride, out_h, out_w, tiled=stride == 1)
     return np.einsum("nhwqij,ijq->nhwq", view, taps).reshape(n, out_h, out_w, c), view
 
 
@@ -147,12 +149,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 
     def vjp(g):
         dw = np.einsum("nhwq,nhwqij->ijq", g.reshape(view.shape[:4]), view)
-        shape = (n, h + f - 1, wd + f - 1, c)
-        if stride == 1:  # g fills the interior
-            gp = _embed(g, shape, f - 1 - top, f - 1 - left)
-        else:
-            gp = np.zeros(shape)
-            gp[:, f - 1 - top :: stride, f - 1 - left :: stride][:, :out_h, :out_w] = g
+        gp = _dilate(g, (n, h + f - 1, wd + f - 1, c), f - 1 - top, f - 1 - left, stride)
         dx = _windows(gp, w.data[:, 0, ::-1, ::-1], 1, h, wd)[0]
         return dx, dw.reshape(f, f, -1, c).sum(axis=2).transpose(2, 0, 1)[:, None]
 

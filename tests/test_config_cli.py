@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -659,7 +660,8 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
      "pretrain.split_index must be >= 0, got -1"),
     ("bench-scaling", ["--set", "bench.k_list=0"],
      "bench.k_list must be >= 1, got 0"),
-    ("bench-scaling", ["--k-list", "0"], "--k-list must be >= 1, got 0"),
+    ("bench-scaling", ["--set", "bench.batch_per_worker=0"],
+     "bench.batch_per_worker must be >= 1, got 0"),
     ("ensemble-eval", ["--set", "splits.train_size=0"],
      "splits: train 0 + val 20 must equal quota 25 x 4 classes"),
     ("pretrain", ["--set", "image_model.binding=x"],
@@ -689,8 +691,8 @@ def test_bad_count_fails_before_any_artifact(work, tmp_path, capsys,
     ("gen-data", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ("train-text", ["--workers", "4"],
      "text.batch_size 6 not divisible by 4 workers"),
-    ("bench-scaling", ["--k-list", "2", "3"],
-     "--k-list must start with 1, got [2, 3]"),
+    ("bench-scaling", ["--set", "bench.k_list=1 0"],
+     "bench.k_list must be >= 1, got 0"),
     ("bench-scaling", ["--set", "bench.k_list=2 4"],
      "bench.k_list must start with 1, got [2, 4]"),
     ("pretrain", ["--set", "image_model.stages=conv 3 16 1 1 1 0.25"],
@@ -781,7 +783,7 @@ def test_deterministic_rerun_reproduces_metrics(work, tmp_path):
 def test_bench_scaling_single_worker(work, tmp_path):
     out = str(tmp_path / "bench")
     proc = run_cli("bench-scaling", "--data", work["data"], "--out", out,
-                   "--k-list", "1", "--set", "bench.steps=2",
+                   "--set", "bench.k_list=1", "--set", "bench.steps=2",
                    "--set", "bench.warmup=0")
     with open(os.path.join(out, "scaling.csv")) as fh:
         lines = fh.read().strip().split("\n")
@@ -803,7 +805,7 @@ def test_bench_scaling_records_whether_blas_was_pinned(work, tmp_path, monkeypat
     monkeypatch.setitem(sys.modules, "threadpoolctl", fake if installed else None)
     out = str(tmp_path / "bench")
     assert cli.main(["bench-scaling", "--data", work["data"], "--out", out,
-                     "--k-list", "1", "--set", "bench.steps=1",
+                     "--set", "bench.k_list=1", "--set", "bench.steps=1",
                      "--set", "bench.warmup=0"]) == 0
     assert read_manifest(out)["blas_pinned"] is installed
     assert pins == ([1] if installed else [])
@@ -812,7 +814,8 @@ def test_bench_scaling_records_whether_blas_was_pinned(work, tmp_path, monkeypat
 @pytest.mark.parametrize("command,flag", [
     ("gen-data", "--workers"), ("gen-data", "--batch-per-worker"),
     ("ensemble-eval", "--workers"), ("ensemble-eval", "--batch-per-worker"),
-    ("bench-scaling", "--workers")])
+    ("bench-scaling", "--workers"), ("bench-scaling", "--k-list"),
+    ("bench-scaling", "--batch-per-worker")])
 def test_a_command_rejects_the_flags_it_does_not_read(capsys, command, flag):
     needs = {"gen-data": [], "bench-scaling": ["--data", "d"],
              "ensemble-eval": ["--data", "d", "--image-checkpoint", "i",
@@ -834,7 +837,7 @@ def test_bench_scaling_ignores_run_batch_per_worker(work, tmp_path):
     run.batch_per_worker is not its error."""
     out = str(tmp_path / "bench")
     run_cli("bench-scaling", "--data", work["data"], "--out", out,
-            "--set", "run.batch_per_worker=0", "--k-list", "1",
+            "--set", "run.batch_per_worker=0", "--set", "bench.k_list=1",
             "--set", "bench.steps=1", "--set", "bench.warmup=0")
     assert read_manifest(out)["n"] == 4  # desk bench.batch_per_worker
 
@@ -863,3 +866,15 @@ def test_readme_library_example_trains(tmp_path):
     assert len(losses) == 4 and all(np.isfinite(losses))
     assert losses[-1] < losses[0] / 2
     assert 0.5 <= val <= 1.0
+
+
+def test_readme_commands_parse():
+    """Each ``docbench`` line of the README's sh blocks, joined with its
+    backslash continuations, parses as written."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("docbench ")]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == set(cli.HANDLERS)

@@ -3,14 +3,17 @@
 One run of gen-data, pretrain and train-text at k = 1, 2 and 3, finetune at
 k = 1 and 2, and ensemble-eval with the weight grid search off and on must
 reproduce every ``metrics.csv`` and ``report.csv`` under
-``tests/desk_outputs/`` byte for byte.  The csv files print four to six
-digits, and every accuracy in the reports reads 1.0000 at this seed, so the
-module also pins numbers: each checkpoint tensor's sum and L2 norm, and the
-column sums and L2 norm of each model's ensemble-eval probabilities, to an
-absolute ``TOLERANCE``.  That admits summation-order round-off (reordering
-batch norm's column sums moves them by at most 6e-14) and rejects a changed
-computation (scaling swish's output by 1 + 1e-9 moves the largest of them by
-2.8e-9 in a text checkpoint and 1.1e-7 in an image one).
+``tests/desk_outputs/`` byte for byte.  Both k=1 models score 1.0 on the
+desk corpus, where every grid weight ties, so one more grid-search
+ensemble-eval scores a corpus that draws 40% of its texts from a random
+class: there the text model errs, and the weights are ranked by accuracy.
+The csv files print four to six digits, so the module also pins numbers:
+each checkpoint tensor's sum and L2 norm, and the column sums and L2 norm of
+each model's ensemble-eval probabilities, to an absolute ``TOLERANCE``.
+That admits summation-order round-off (reordering batch norm's column sums
+moves them by at most 6e-14) and rejects a changed computation (scaling
+swish's output by 1 + 1e-9 moves the largest of them by 2.8e-9 in a text
+checkpoint and 1.1e-7 in an image one).
 
 A change that alters the outputs on purpose rewrites the pinned files with
 
@@ -36,6 +39,8 @@ NUMBERS = "numbers.json"
 SEED = "3"
 TOLERANCE = 1e-11
 SMALL_CORPUS = "corpus.docs_per_class=4"  # the size finetune's splits are sized for
+# 40% of the texts come from a random class, so the models' accuracies part
+DISAGREE = "corpus.modality_agreement=0.6"
 
 
 def _commands(root=""):
@@ -45,7 +50,8 @@ def _commands(root=""):
 
     pretrained = at("pretrain-k1", "checkpoint.tensors")
     runs = [("data", ["gen-data"]),
-            ("data-small", ["gen-data", "--set", SMALL_CORPUS])]
+            ("data-small", ["gen-data", "--set", SMALL_CORPUS]),
+            ("data-disagree", ["gen-data", "--set", DISAGREE])]
     for k in ("1", "2", "3"):
         runs.append((f"pretrain-k{k}", ["pretrain", "--data", at("data"), "--workers", k]))
         runs.append((f"text-k{k}", ["train-text", "--data", at("data"), "--workers", k]))
@@ -54,9 +60,10 @@ def _commands(root=""):
         runs.append((f"finetune-k{k}", [
             "finetune", "--data", at("data-small"), "--workers", k,
             "--batch-per-worker", n, "--checkpoint", pretrained]))
-    for name, grid in (("ensemble", "false"), ("ensemble-grid", "true")):
+    for name, data, grid in (("ensemble", "data", "false"), ("ensemble-grid", "data", "true"),
+                             ("ensemble-grid-disagree", "data-disagree", "true")):
         runs.append((name, [
-            "ensemble-eval", "--data", at("data"), "--image-checkpoint", pretrained,
+            "ensemble-eval", "--data", at(data), "--image-checkpoint", pretrained,
             "--text-checkpoint", at("text-k1", "checkpoint.tensors"),
             "--set", f"ensemble.grid_search={grid}"]))
     return [(out, [*argv, "--seed", SEED, "--out", at(out)]) for out, argv in runs]

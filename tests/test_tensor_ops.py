@@ -67,11 +67,15 @@ class TestConv2d:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_strided_matches_oracle(self, stride):
+    # an even filter pads one less before than after; F = 3 keeps the ids
+    # of its strides alone
+    @pytest.mark.parametrize("field,stride", [
+        pytest.param(f, s, id=str(s) if f == 3 else f"F{f}-{s}")
+        for f in (1, 2, 3, 4, 5) for s in (1, 2, 3)])
+    def test_strided_matches_oracle(self, field, stride):
         rng = np.random.default_rng(stride)
         x = rng.standard_normal((2, 3, 8, 8))
-        w = rng.standard_normal((4, 3, 3, 3))
+        w = rng.standard_normal((4, 3, field, field))
         for a, b in zip(*conv_against_loops(x, w, stride)):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
@@ -85,6 +89,28 @@ class TestConv2d:
         for a, b in zip(*conv_against_loops(x, w)):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_pointwise_windows_are_views_of_x_and_g(self, monkeypatch):
+        # a 1x1 filter at stride 1: both window matrices read their operand
+        # in place, so the forward allocates only its output, the vjp dx and dW
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((4, 6, 6, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((24, 16, 1, 1)), requires_grad=True)
+        g = rng.standard_normal((4, 6, 6, 24))
+        views, view = [], ops._view
+
+        def spy(*args, **kwargs):
+            views.append(view(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(ops, "_view", spy)
+        made = []
+        forward = peak_bytes(lambda: made.append(ops.conv2d(x, w)))
+        backward = peak_bytes(lambda: made.extend(made[0]._vjp(g)))
+        assert len(views) == 2
+        assert np.shares_memory(views[0], x.data) and np.shares_memory(views[1], g)
+        assert forward < 1.5 * made[0].data.nbytes
+        assert backward < 1.5 * (x.data.nbytes + w.data.nbytes)
 
     def test_same_padding_keeps_ceil_extent(self):
         x = Tensor(np.zeros((1, 7, 7, 2)))
@@ -155,6 +181,32 @@ class TestSamePad:
         for c in range(3):
             dxp, _ = conv2d_loops_vjp(xp[:, c : c + 1], w[c : c + 1], nchw(g)[:, c : c + 1])
             assert np.max(np.abs(dx[:, c : c + 1] - same_crop(dxp, (2, 1, 5, 6), field))) < 1e-12
+
+    # test_depthwise_stride1_dx has the odd filters of depthwise stride 1
+    @pytest.mark.parametrize("conv,field,stride", [
+        (conv, f, s) for conv in ("dense", "depthwise") for f in (1, 2, 3, 4, 5)
+        for s in (1, 2, 3) if (conv, s) != ("depthwise", 1) or f % 2 == 0])
+    def test_dilated_dx(self, conv, field, stride):
+        """dX of both convolutions, after a NaN-filled array of the size of
+        the dilated gradient buffer is freed, against the loop oracle."""
+        rng = np.random.default_rng(10 * field + stride)
+        x = rng.standard_normal((2, 3, 5, 6))
+        depthwise = conv == "depthwise"
+        w = rng.standard_normal((3, 1, field, field) if depthwise else (4, 3, field, field))
+        op = ops.depthwise_conv2d if depthwise else ops.conv2d
+        out = op(Tensor(nhwc(x), requires_grad=True), Tensor(w, requires_grad=True), stride)
+        g = rng.standard_normal(out.shape)
+        stale = np.full((2, 5 + field - 1, 6 + field - 1, out.shape[3]), np.nan)
+        del stale
+        dx = nchw(out._vjp(g)[0])
+        xp, gs = same_pad(x, field, stride), nchw(g)
+        if depthwise:
+            dxp = np.concatenate([conv2d_loops_vjp(xp[:, c : c + 1], w[c : c + 1],
+                                                   gs[:, c : c + 1], stride)[0]
+                                  for c in range(3)], axis=1)
+        else:
+            dxp = conv2d_loops_vjp(xp, w, gs, stride)[0]
+        assert np.max(np.abs(dx - same_crop(dxp, x.shape, field, stride))) < 1e-12
 
 
 class TestDepthwise:
