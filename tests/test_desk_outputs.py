@@ -18,6 +18,10 @@ checkpoint and 1.1e-7 in an image one).
 A change that alters the outputs on purpose rewrites the pinned files with
 
     PYTHONPATH=src python3 tests/test_desk_outputs.py
+
+which first prints how many pinned numbers moved and by how much at most,
+and which csv files changed bytes, so a rewrite that adds one pin shows
+whether it also moved the others.
 """
 
 import json
@@ -150,10 +154,50 @@ def test_ensemble_probabilities_match_pin(desk, model):
     assert abs(got["norm"] - want["norm"]) <= TOLERANCE
 
 
+def _leaves(tree, path=()):
+    """(path, number) of every pinned number in a ``run_desk`` result."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, tree
+
+
+def _report_moves(root, numbers):
+    """Print what rewriting the pins under ``root``'s run would change: the
+    count and largest size of the moved numbers, and the csv files whose
+    bytes differ."""
+    try:
+        with open(os.path.join(PINNED, NUMBERS)) as fh:
+            old = dict(_leaves(json.load(fh)))
+    except FileNotFoundError:
+        old = {}
+    new = dict(_leaves(numbers))
+    moves = [abs(value - old[path]) for path, value in new.items()
+             if path in old and value != old[path]]
+    print(f"{len(moves)} of {len(new)} pinned numbers changed, largest by "
+          f"{max(moves, default=0.0):.3g}; {len(new.keys() - old.keys())} added, "
+          f"{len(old.keys() - new.keys())} removed", file=sys.stderr)
+    for name in CSV_FILES:
+        pinned = os.path.join(PINNED, name.replace(os.sep, "."))
+        with open(os.path.join(root, name), "rb") as fh:
+            got = fh.read()
+        if not os.path.exists(pinned):
+            print(f"new csv: {name}", file=sys.stderr)
+            continue
+        with open(pinned, "rb") as fh:
+            if fh.read() != got:
+                print(f"csv bytes changed: {name}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     root = tempfile.mkdtemp()
     try:
         numbers = run_desk(root)
+        _report_moves(root, numbers)
         os.makedirs(PINNED, exist_ok=True)
         for name in CSV_FILES:
             shutil.copyfile(os.path.join(root, name),
