@@ -1,8 +1,8 @@
 """Command-line pipeline: corpus generation, training, evaluation, scaling.
 
-Every subcommand writes its artifacts under --out plus a run.json manifest
-recording the command, the full config snapshot, the seed, and the paths it
-produced, so any result can be traced back to its inputs and reproduced.
+Every subcommand writes its artifacts under --out and returns their paths and
+its own fields; ``main`` writes them to a run.json beside the command, config
+snapshot, seed and wall time, so any result can be traced and reproduced.
 """
 
 from __future__ import annotations
@@ -156,73 +156,56 @@ def _environment() -> dict:
             **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
-def _write_manifest(out_dir: str, command: str, args, cfg: Config, artifacts,
-                    started: float, extra=None):
+def _write_manifest(args, cfg: Config, started: float, artifacts, fields):
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "config": cfg.snapshot(),
         "artifacts": {k: os.path.basename(v) for k, v in artifacts.items()},
         "wall_clock_seconds": round(time.time() - started, 3),
         "environment": _environment(),
+        **fields,
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, "run.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(args.out, "run.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_training(command: str, args, cfg: Config, started: float, net,
-                    metrics, meta=None, extra=None) -> int:
-    """Checkpoint (with ``meta`` beside the network's own), metrics.csv and
-    run.json of a training command, then its closing line."""
-    out = _ensure_out(args.out)
-    ckpt = os.path.join(out, "checkpoint.tensors")
+def _write_training(args, net, metrics, meta=None):
+    """Checkpoint (with ``meta`` beside the network's own) and metrics.csv of a
+    training command, then its closing line; returns its artifacts and fields."""
+    os.makedirs(args.out, exist_ok=True)
+    ckpt = os.path.join(args.out, "checkpoint.tensors")
     net.save(ckpt, extra_meta=meta)
     lines = [METRICS_HEADER]
     for r in metrics:
         val = f"{r['val_acc']:.4f}" if "val_acc" in r else ""
         lines.append(f"{r['epoch']},{r['train_loss']:.6f},{val},{r['lr']:.8f}")
-    csv_path = os.path.join(out, "metrics.csv")
+    csv_path = os.path.join(args.out, "metrics.csv")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     final = metrics[-1].get("val_acc", math.nan)  # NaN after an empty val split
-    _write_manifest(out, command, args, cfg,
-                    {"checkpoint": ckpt, "metrics": csv_path}, started,
-                    extra={"epochs": len(metrics), "workers": args.workers,
-                           "final_val_acc": None if math.isnan(final) else final,
-                           **(extra or {})})
-    print(f"{command}: {len(metrics)} epochs, final val_acc {final:.4f}")
-    return 0
+    print(f"{args.command}: {len(metrics)} epochs, final val_acc {final:.4f}")
+    return ({"checkpoint": ckpt, "metrics": csv_path},
+            {"epochs": len(metrics), "workers": args.workers,
+             "final_val_acc": None if math.isnan(final) else final})
 
 
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_gen_data(args, cfg: Config) -> int:
-    started = time.time()
+def cmd_gen_data(args, cfg: Config):
     corpus = generate_corpus(_corpus_spec(cfg), args.seed)
     save_corpus(corpus, args.out)
-    _write_manifest(args.out, "gen-data", args, cfg,
-                    {"corpus_index": os.path.join(args.out, "manifest.json")},
-                    started, extra={"documents": len(corpus)})
     print(f"gen-data: wrote {len(corpus)} documents to {args.out}")
-    return 0
+    return ({"corpus_index": os.path.join(args.out, "manifest.json")},
+            {"documents": len(corpus)})
 
 
-def _train_image(args, cfg: Config, section: str, initial=None,
-                 extra=None) -> int:
-    """Shared pretrain/finetune command: train, then write its artifacts."""
-    started = time.time()
+def _train_image(args, cfg: Config, initial=None):
+    """pretrain, and finetune's training: the config section is the command."""
+    section = args.command
     epochs = cfg.getint(section, "epochs", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     corpus = load_corpus(args.data)
@@ -261,14 +244,10 @@ def _train_image(args, cfg: Config, section: str, initial=None,
         model_factory, opt_factory, train_loader, image_loss,
         ParallelConfig(args.workers, n, args.seed), epochs,
         eval_fn=lambda m: eval_image_accuracy(m, val_loader))
-    return _write_training(section, args, cfg, started, net, metrics, extra=extra)
+    return _write_training(args, net, metrics)
 
 
-def cmd_pretrain(args, cfg: Config) -> int:
-    return _train_image(args, cfg, "pretrain")
-
-
-def cmd_finetune(args, cfg: Config) -> int:
+def cmd_finetune(args, cfg: Config):
     keep = tuple(cfg.get("finetune", "keep_trainable").split())
     if not keep:
         raise ConfigError("finetune.keep_trainable must name at least one group")
@@ -281,13 +260,12 @@ def cmd_finetune(args, cfg: Config) -> int:
         # head stays at its fresh initialization for the new class count
         net.load(args.checkpoint, skip_groups=("head",))
 
-    return _train_image(args, cfg, "finetune", initial=initial,
-                        extra={"source_checkpoint": args.checkpoint,
-                               "trainable_groups": list(keep)})
+    artifacts, fields = _train_image(args, cfg, initial=initial)
+    return artifacts, {**fields, "source_checkpoint": args.checkpoint,
+                       "trainable_groups": list(keep)}
 
 
-def cmd_train_text(args, cfg: Config) -> int:
-    started = time.time()
+def cmd_train_text(args, cfg: Config):
     epochs = cfg.getint("text", "epochs", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     if args.batch_per_worker_given:
@@ -322,9 +300,9 @@ def cmd_train_text(args, cfg: Config) -> int:
         lambda: _build_text_net(cfg, corpus, args.seed), opt_factory,
         train_loader, text_loss, ParallelConfig(args.workers, n, args.seed),
         epochs, eval_fn=lambda m: eval_text_accuracy(m, val_loader))
-    return _write_training("train-text", args, cfg, started, net, metrics,
-                           {"vocab_size": corpus.spec.vocab_size},
-                           {"batch_size": global_batch})
+    artifacts, fields = _write_training(args, net, metrics,
+                                        {"vocab_size": corpus.spec.vocab_size})
+    return artifacts, {**fields, "batch_size": global_batch}
 
 
 def _probs(net, loader) -> np.ndarray:
@@ -337,8 +315,7 @@ def _probs(net, loader) -> np.ndarray:
     return probs
 
 
-def cmd_ensemble_eval(args, cfg: Config) -> int:
-    started = time.time()
+def cmd_ensemble_eval(args, cfg: Config):
     n_splits = cfg.getint("splits", "n_splits", minimum=1)
     eval_batch = cfg.getint("run", "eval_batch", minimum=1)
     use_grid = cfg.getbool("ensemble", "grid_search")
@@ -386,8 +363,8 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
         })
 
     report = report_csv(rows)
-    out = _ensure_out(args.out)
-    report_path = os.path.join(out, "report.csv")
+    os.makedirs(args.out, exist_ok=True)
+    report_path = os.path.join(args.out, "report.csv")
     with open(report_path, "w") as fh:
         fh.write(report)
     summary = {
@@ -395,18 +372,15 @@ def cmd_ensemble_eval(args, cfg: Config) -> int:
                for col in ("image_acc", "text_acc", "ensemble_acc")}
         for stat, fn in (("median", "median"), ("mean", "fmean"))
     }
-    _write_manifest(out, "ensemble-eval", args, cfg, {"report": report_path},
-                    started, extra={"summary": summary,
-                                    "predicted_documents": len(needed),
-                                    "grid_search": use_grid,
-                                    "image_checkpoint": args.image_checkpoint,
-                                    "text_checkpoint": args.text_checkpoint})
     print(report, end="")
-    return 0
+    return {"report": report_path}, {"summary": summary,
+                                     "predicted_documents": len(needed),
+                                     "grid_search": use_grid,
+                                     "image_checkpoint": args.image_checkpoint,
+                                     "text_checkpoint": args.text_checkpoint}
 
 
-def cmd_bench_scaling(args, cfg: Config) -> int:
-    started = time.time()
+def cmd_bench_scaling(args, cfg: Config):
     steps = cfg.getint("bench", "steps", minimum=1)
     warmup = cfg.getint("bench", "warmup", minimum=0)
     n = cfg.getint("bench", "batch_per_worker", minimum=1)
@@ -430,17 +404,15 @@ def cmd_bench_scaling(args, cfg: Config) -> int:
         opt_factory, batch_factory, image_loss, k_list, n,
         steps=steps, warmup=warmup, seed=args.seed)
 
-    out = _ensure_out(args.out)
-    csv_path = os.path.join(out, "scaling.csv")
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "scaling.csv")
     with open(csv_path, "w") as fh:
         fh.write(report.to_csv())
-    _write_manifest(out, "bench-scaling", args, cfg, {"scaling": csv_path},
-                    started, extra={"k_list": list(k_list), "n": n,
-                                    "blas_pinned": report.blas_pinned})
     print(report.to_csv(), end="")
     print(f"context: published 4-worker reference reduced wall time by "
           f"~{REFERENCE_REDUCTION_AT_4:.1f}% (speedup ~{1 / (1 - REFERENCE_REDUCTION_AT_4 / 100):.2f}x)")
-    return 0
+    return ({"scaling": csv_path},
+            {"k_list": list(k_list), "n": n, "blas_pinned": report.blas_pinned})
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -494,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 HANDLERS = {
     "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
+    "pretrain": _train_image,
     "finetune": cmd_finetune,
     "train-text": cmd_train_text,
     "ensemble-eval": cmd_ensemble_eval,
@@ -523,7 +495,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = Config.load(args.config, args.overrides)
         _resolve(args, cfg)
-        return HANDLERS[args.command](args, cfg)
+        started = time.time()
+        artifacts, fields = HANDLERS[args.command](args, cfg)
+        _write_manifest(args, cfg, started, artifacts, fields)
+        return 0
     except Exception as exc:  # single-line, machine-parsable failure channel
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)

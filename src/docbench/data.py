@@ -269,7 +269,6 @@ class SplitPlan:
     train: list
     val: list
     test: list
-    seed: int
 
 
 def make_splits(corpus: Corpus, n_splits: int, train_size: int, val_size: int,
@@ -298,7 +297,7 @@ def make_splits(corpus: Corpus, n_splits: int, train_size: int, val_size: int,
         chosen = set(pool)
         test = [i for i in range(len(corpus)) if i not in chosen]
         plans.append(SplitPlan(split_id=s, train=pool[:train_size],
-                               val=pool[train_size:], test=test, seed=seed))
+                               val=pool[train_size:], test=test))
     return plans
 
 

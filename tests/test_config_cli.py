@@ -22,7 +22,7 @@ import types
 import numpy as np
 import pytest
 
-from docbench import cli, layers
+from docbench import __version__, cli, layers
 from docbench.config import Config, ConfigError, profile_path
 from docbench.data import AugmentConfig, load_corpus
 from docbench.ensemble import FusionWeights, report_csv
@@ -260,6 +260,55 @@ def test_run_json_is_strict_json_after_an_empty_val_split(work, tmp_path):
     with open(out / "run.json") as fh:
         manifest = json.load(fh, parse_constant=reject)
     assert manifest["final_val_acc"] is None
+
+
+# what each command adds to the keys every run.json holds
+SHARED_RUN_KEYS = {"command", "version", "seed", "config", "artifacts",
+                   "wall_clock_seconds", "environment"}
+TRAINING_RUN_KEYS = {"epochs", "workers", "final_val_acc"}
+RUN_KEYS = {
+    "gen-data": {"documents"},
+    "pretrain": TRAINING_RUN_KEYS,
+    "finetune": TRAINING_RUN_KEYS | {"source_checkpoint", "trainable_groups"},
+    "train-text": TRAINING_RUN_KEYS | {"batch_size"},
+    "ensemble-eval": {"summary", "predicted_documents", "grid_search",
+                      "image_checkpoint", "text_checkpoint"},
+    "bench-scaling": {"k_list", "n", "blas_pinned"},
+}
+
+
+@pytest.mark.parametrize("command", list(RUN_KEYS))
+def test_every_command_writes_one_run_json(work, tmp_path, command):
+    """main writes one run.json for whichever command ran: the shared keys,
+    the command's own, and artifacts that name files in --out."""
+    out = tmp_path / "out"
+    image_ck = os.path.join(work["pre"], "checkpoint.tensors")
+    flags = {
+        "gen-data": [],
+        "pretrain": ["--set", "pretrain.epochs=1"],
+        "finetune": ["--checkpoint", image_ck],
+        "train-text": ["--set", "text.epochs=1"],
+        "ensemble-eval": ["--image-checkpoint", image_ck, "--text-checkpoint",
+                          os.path.join(work["txt"], "checkpoint.tensors")],
+        "bench-scaling": ["--set", "bench.steps=1", "--set", "bench.warmup=0",
+                          "--set", "bench.k_list=1"],
+    }[command]
+    if command != "gen-data":
+        flags += ["--data", work["data"]]
+    assert cli.main([command, "--out", str(out), *flags]) == 0
+    assert glob.glob(str(tmp_path / "**" / "run.json"), recursive=True) == [
+        str(out / "run.json")]
+    m = read_manifest(out)
+    assert set(m) == SHARED_RUN_KEYS | RUN_KEYS[command]
+    assert m["command"] == command
+    assert m["version"] == __version__
+    assert m["seed"] == 0
+    assert m["config"]["corpus"]["num_classes"] == "4"
+    assert m["wall_clock_seconds"] >= 0
+    assert m["environment"]["numpy"] == np.__version__
+    assert m["artifacts"]
+    for name in m["artifacts"].values():
+        assert (out / name).is_file(), name
 
 
 def tree_digest(root):
