@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (Activation, BatchNorm2d, Conv2d, Dropout, GlobalAvgPool,
+from .layers import (BatchNorm2d, Conv2d, ConvNorm, Dropout, GlobalAvgPool,
                      ImageNetwork, Linear, MBConv, Sequential)
 from .scaling import ScaledDims
 
@@ -97,8 +97,8 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
     net = ImageNetwork(dims.input_size, num_classes)
 
     ch = round_channels(stem_channels, dims.width_mult)
-    net.add_group("stem", Sequential(
-        Conv2d(in_channels, ch, 3, rng, stride=2), BatchNorm2d(ch), Activation()))
+    net.add_group("stem", ConvNorm(
+        Conv2d(in_channels, ch, 3, rng, stride=2), BatchNorm2d(ch, swish=True)))
 
     for i, st in enumerate(stages, start=1):
         out_ch = round_channels(st.base_channels, dims.width_mult)
@@ -110,8 +110,8 @@ def build_efficientnet(stages, dims: ScaledDims, num_classes: int,
         net.add_group(f"stage{i}", Sequential(*blocks))
 
     head_ch = round_channels(head_channels, dims.width_mult)
-    net.add_group("head_conv", Sequential(
-        Conv2d(ch, head_ch, 1, rng), BatchNorm2d(head_ch), Activation()))
+    net.add_group("head_conv", ConvNorm(
+        Conv2d(ch, head_ch, 1, rng), BatchNorm2d(head_ch, swish=True)))
     net.add_group("head", Sequential(
         GlobalAvgPool(), Dropout(dropout_rate),
         Linear(head_ch, num_classes, rng)))

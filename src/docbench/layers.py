@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, Tensor, load_tensors, save_tensors
+from .tensor import ShapeError, Tensor, load_tensors, records, save_tensors
 
 
 class Ctx:
@@ -88,13 +88,6 @@ class Sequential(Layer):
         return x
 
 
-class Activation(Layer):
-    """Swish, the activation of every block."""
-
-    def __call__(self, x, ctx):
-        return ops.swish(x)
-
-
 class Dropout(Layer):
     def __init__(self, rate: float):
         super().__init__()
@@ -148,30 +141,48 @@ class DepthwiseConv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Per-channel normalization over (batch, height, width).
+    """Per-channel normalization over (N, H, W), then swish if ``swish``.
 
     Training uses batch statistics and refreshes the running buffers; eval
     and frozen modes read the buffers only, so frozen groups never mutate.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels, swish=False, momentum=0.1, eps=1e-5):
         super().__init__()
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
+        self.swish = swish
         self.momentum = momentum
         self.eps = eps
 
     def __call__(self, x, ctx: Ctx):
         if ctx.training and not self.frozen:
-            out, mean, var = ops.batch_norm(x, self.gamma, self.beta, self.eps)
+            out, mean, var = ops.batch_norm(x, self.gamma, self.beta, self.eps, swish=self.swish)
             m = self.momentum
             self.running_mean += m * (mean - self.running_mean)
             self.running_var += m * (var - self.running_var)
             return out
         return ops.batch_norm(x, self.gamma, self.beta, self.eps,
-                              (self.running_mean, self.running_var))[0]
+                              (self.running_mean, self.running_var), self.swish)[0]
+
+    def after(self, conv, x, ctx: Ctx):
+        """This norm of ``conv(x, ctx)``, written over the conv's fresh output
+        when it reads the buffers and nothing records: under ``no_grad``, or
+        when none of x, the filters, gamma and beta takes a gradient."""
+        z = conv(x, ctx)
+        if (ctx.training and not self.frozen) or records(z, self.gamma, self.beta):
+            return self(z, ctx)
+        return ops.batch_norm_over(z, self.gamma, self.beta, self.eps,
+                                   (self.running_mean, self.running_var), self.swish)
+
+
+class ConvNorm(Sequential):
+    """A convolution, child ``0``, run through the batch norm ``1`` after it."""
+
+    def __call__(self, x, ctx):
+        return self._children["1"].after(self._children["0"], x, ctx)
 
 
 class LayerNorm(Layer):
@@ -197,18 +208,19 @@ class SqueezeExcite(Layer):
     def __init__(self, channels, reduced, rng):
         super().__init__()
         self.reduce = Linear(channels, reduced, rng)
-        self.act = Activation()
         self.expand = Linear(reduced, channels, rng)
 
     def __call__(self, x, ctx):
         pooled = ops.global_avg_pool(x)
-        gate = self.expand(self.act(self.reduce(pooled, ctx), ctx), ctx).sigmoid()
+        gate = self.expand(ops.swish(self.reduce(pooled, ctx)), ctx).sigmoid()
         return x * gate.reshape(gate.shape[0], 1, 1, gate.shape[1])
 
 
 class MBConv(Layer):
     """Inverted bottleneck: 1x1 expand, depthwise conv, channel excitation,
-    1x1 project; identity shortcut when stride is 1 and channels match."""
+    1x1 project; identity shortcut when stride is 1 and channels match.
+    Each convolution runs through its batch norm's ``after``; the expand and
+    depthwise norms carry the swish."""
 
     def __init__(self, in_ch, out_ch, expansion, kernel, stride, se_ratio, rng):
         super().__init__()
@@ -220,25 +232,24 @@ class MBConv(Layer):
         self.use_residual = stride == 1 and in_ch == out_ch
         if expansion != 1:
             self.expand_conv = Conv2d(in_ch, mid, 1, rng)
-            self.expand_bn = BatchNorm2d(mid)
+            self.expand_bn = BatchNorm2d(mid, swish=True)
         self.dw = DepthwiseConv2d(mid, kernel, rng, stride)
-        self.dw_bn = BatchNorm2d(mid)
+        self.dw_bn = BatchNorm2d(mid, swish=True)
         if se_ratio > 0:
             # reduction is computed from the block input width, not the
             # expanded width
             self.se = SqueezeExcite(mid, max(1, int(in_ch * se_ratio)), rng)
         self.project_conv = Conv2d(mid, out_ch, 1, rng)
         self.project_bn = BatchNorm2d(out_ch)
-        self.act = Activation()
 
     def __call__(self, x, ctx):
         h = x
         if "expand_conv" in self._children:
-            h = self.act(self.expand_bn(self.expand_conv(h, ctx), ctx), ctx)
-        h = self.act(self.dw_bn(self.dw(h, ctx), ctx), ctx)
+            h = self.expand_bn.after(self.expand_conv, h, ctx)
+        h = self.dw_bn.after(self.dw, h, ctx)
         if "se" in self._children:
             h = self.se(h, ctx)
-        h = self.project_bn(self.project_conv(h, ctx), ctx)
+        h = self.project_bn.after(self.project_conv, h, ctx)
         return h + x if self.use_residual else h
 
 
@@ -260,7 +271,6 @@ class TransformerBlock(Layer):
         self.ff1 = Linear(hidden, 4 * hidden, rng, std=0.02)
         self.ff2 = Linear(4 * hidden, hidden, rng, std=0.02)
         self.norm2 = LayerNorm(hidden)
-        self.act = Activation()
         self.rate = dropout_rate
 
     def __call__(self, x, bias, ctx: Ctx):
@@ -272,7 +282,7 @@ class TransformerBlock(Layer):
         attn = ops.attention(x, self.qkv, self.qv_bias, bias, self.heads, self.rate,
                              ctx.rng, training)
         h = self.norm1(x + drop(self.out(attn, ctx)), ctx)
-        ff = self.ff2(self.act(self.ff1(h, ctx), ctx), ctx)
+        ff = self.ff2(ops.swish(self.ff1(h, ctx)), ctx)
         return self.norm2(h + drop(ff), ctx)
 
 

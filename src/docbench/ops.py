@@ -7,9 +7,9 @@ window-matrix GEMM each way, a depthwise one an einsum.  Batch and layer
 norm, the affine map (``linear``: one 2-D GEMM whatever x's leading axes)
 and multi-head self-attention (its q/k/v projection included) are single
 ops with the closed-form backward.  Batch norm is one per-channel affine
-map in both modes: of the centred batch in training, its gradient taken
-from the column sums of g and g times the centred batch, and of x itself at
-eval.
+map in both modes, of the centred batch in training and of x itself at
+eval, and carries the swish after it in the same node; ``batch_norm_over``
+writes the eval map over a convolution's output when no tape records it.
 """
 
 from __future__ import annotations
@@ -180,19 +180,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op("linear", (x, w, b), out.reshape(*x.shape[:-1], -1), vjp)
 
 
+def _swish_vjp(s, out, g):
+    """(x*s*(1-s) + s) * g in one buffer, for swish output x*s of sigmoid s."""
+    d = 1.0 - s
+    d *= out
+    d += s
+    d *= g
+    return d
+
+
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x), fused; written over the sigmoid when no tape keeps it."""
     s = _sigmoid(x.data)
-    out = np.multiply(x.data, s, out=None if tensor._recording and x.requires_grad else s)
-
-    def vjp(g):  # (x*s*(1-s) + s) * g, with x*s the output
-        d = 1.0 - s
-        d *= out
-        d += s
-        d *= g
-        return (d,)
-
-    return Tensor.from_op("swish", (x,), out, vjp)
+    out = np.multiply(x.data, s, out=None if tensor.records(x) else s)
+    return Tensor.from_op("swish", (x,), out, lambda g: (_swish_vjp(s, out, g),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -321,20 +322,39 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor.from_op("embedding", (table,), out, vjp)
 
 
+def _affine(x, gamma, beta, eps, var, mean, swish, out=None):
+    """Batch norm's y = x*a + shift (a = gamma/std, std = sqrt(var + eps), shift
+    = beta - mean*a, or beta if mean is None) into ``out`` (new when None), or
+    y's swish from the exact halves; returns (out, a, std, 1 + tanh(y/2))."""
+    std = np.sqrt(var + eps)
+    a = gamma / std
+    half = 2.0 if swish else 1.0
+    out = np.multiply(x, a / half, out=out)
+    out += (beta if mean is None else beta - mean * a) / half
+    if not swish:
+        return out, a, std, None
+    u = np.tanh(out)
+    u += 1.0
+    out *= u
+    return out, a, std, u
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               running=None):
+               running=None, swish: bool = False):
     """Per-channel normalization of (N,H,W,C) over batch, height and width,
     with (C,) ``gamma`` and ``beta`` and the batch statistics or the constant
-    ``running=(mean, var)`` pair; returns ``(out, mean, var)``, all (C,)
-    but ``out``.
+    ``running=(mean, var)`` pair, then swish if ``swish``; returns ``(out,
+    mean, var)``, all (C,) but ``out``.
 
     Over the (M, C) rows of x both modes are one affine map, ``a = gamma /
-    std`` with ``std = sqrt(var + eps)``.  Training maps the centred batch
-    ``xc``, ``xc * a + beta``, and takes ``dx = (g - dbeta/M - xc *
-    dgamma/(M*std)) * a`` from the column sums d(beta) and d(gamma).  Constant
-    statistics map x itself, ``x * a + (beta - mean * a)``, and dx is
-    ``g * a``.  Column sums are products with a ones vector, sums of
-    products one einsum, which forms no product buffer.
+    std`` with ``std = sqrt(var + eps)``: of the centred batch ``xc``, ``xc *
+    a + beta``, with ``dx = (g - dbeta/M - xc * dgamma/(M*std)) * a`` from the
+    column sums d(beta) and d(gamma), or of x itself, ``x * a + (beta - mean *
+    a)``, with ``dx = g * a``.  Column sums are products with a ones vector,
+    sums of products one einsum, which forms no product buffer.  The swish
+    has the bits of ``swish(batch_norm(...))``: the map at half scale is y/2
+    exactly (unless a/2 or x*a/2 is subnormal, below 2.2e-308), y/2 * (1 +
+    tanh(y/2)) rounds as y * sigmoid(y), and the vjp runs swish's first.
     """
     _check_4d(x, "batch norm input")
     x2 = x.data.reshape(-1, gamma.shape[0])
@@ -347,13 +367,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         var = np.einsum("mc,mc->c", xc, xc) / m
     else:
         mu, var = running
-    std = np.sqrt(var + eps)
-    a = gamma.data / std
-    out = np.multiply(xc if training else x2, a)
-    out += beta.data if training else beta.data - mu * a
+    out, a, std, s = _affine(xc if training else x2, gamma.data, beta.data, eps, var,
+                             None if training else mu, swish)
+    if swish:
+        s *= 0.5  # the sigmoid, kept for the vjp
 
     def vjp(g):
         g2 = g.reshape(x2.shape)
+        if swish:
+            g2 = _swish_vjp(s, out, g2)
         dbeta = rows @ g2
         dgamma = np.einsum("mc,mc->c", g2, xc if training else x2 - mu) / std
         if not training:
@@ -365,6 +387,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         return dx.reshape(x.shape), dgamma, dbeta
 
     return Tensor.from_op("batch_norm", (x, gamma, beta), out.reshape(x.shape), vjp), mu, var
+
+
+def batch_norm_over(x: Tensor, gamma: Tensor, beta: Tensor, eps, running, swish=False):
+    """:func:`batch_norm` of constant ``running`` statistics, swish included,
+    written over the array of ``x``, which no caller may still read."""
+    _affine(x.data, gamma.data, beta.data, eps, running[1], running[0], swish, out=x.data)
+    return x
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -31,6 +31,11 @@ def no_grad():
         _recording = previous
 
 
+def records(*tensors):
+    """Whether an op of ``tensors`` joins the tape."""
+    return _recording and any(t.requires_grad for t in tensors)
+
+
 class ShapeError(ValueError):
     """Raised when operand dimensions do not compose."""
 
@@ -55,8 +60,7 @@ class Tensor:
     def from_op(op, parents, data, vjp):
         """Wrap an op result; ``vjp(grad_out)`` yields one gradient per parent.
         Under ``no_grad()`` the result is a leaf and ``vjp`` is dropped."""
-        out = Tensor(data, requires_grad=_recording
-                     and any(p.requires_grad for p in parents))
+        out = Tensor(data, requires_grad=records(*parents))
         if out.requires_grad:
             out.op = op
             out.parents = tuple(parents)

@@ -21,9 +21,9 @@ from docbench import ops
 from docbench.data import ImageLoader, TextLoader
 from docbench.ensemble import (evaluate, fuse, grid_search_weights,
                                predict_classes)
-from docbench.layers import (Activation, BatchNorm2d, Conv2d, DepthwiseConv2d,
-                             Dropout, GlobalAvgPool, Linear, MBConv, Network,
-                             Sequential, SqueezeExcite)
+from docbench.layers import (BatchNorm2d, Conv2d, DepthwiseConv2d, Dropout,
+                             GlobalAvgPool, Linear, MBConv, Network, Sequential,
+                             SqueezeExcite)
 from docbench.parallel import predict
 from docbench.tensor import Tensor, _unbroadcast
 
@@ -282,9 +282,8 @@ def nchw_forward(layer, x):
     if isinstance(layer, BatchNorm2d):
         mean, var, gamma, beta = (a.reshape(1, -1, 1, 1) for a in (
             layer.running_mean, layer.running_var, layer.gamma.data, layer.beta.data))
-        return (x - mean) / np.sqrt(var + layer.eps) * gamma + beta
-    if isinstance(layer, Activation):
-        return _swish(x)
+        y = (x - mean) / np.sqrt(var + layer.eps) * gamma + beta
+        return _swish(y) if layer.swish else y
     if isinstance(layer, GlobalAvgPool):
         return x.mean(axis=(2, 3))
     if isinstance(layer, Dropout):
@@ -298,8 +297,8 @@ def nchw_forward(layer, x):
     if isinstance(layer, MBConv):
         h, kids = x, layer._children
         if "expand_conv" in kids:
-            h = _swish(nchw_forward(layer.expand_bn, nchw_forward(layer.expand_conv, h)))
-        h = _swish(nchw_forward(layer.dw_bn, nchw_forward(layer.dw, h)))
+            h = nchw_forward(layer.expand_bn, nchw_forward(layer.expand_conv, h))
+        h = nchw_forward(layer.dw_bn, nchw_forward(layer.dw, h))
         if "se" in kids:
             h = nchw_forward(layer.se, h)
         h = nchw_forward(layer.project_bn, nchw_forward(layer.project_conv, h))

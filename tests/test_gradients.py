@@ -267,6 +267,23 @@ def test_batch_norm_eval(seed):
                  [x, gamma, beta], rng=rng)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_norm_swish_training(seed):
+    rng = np.random.default_rng(seed)
+    fd_gradcheck(lambda x, g, b: ops.batch_norm(x, g, b, swish=True)[0],
+                 _norm_inputs(rng), rng=rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batch_norm_swish_eval(seed):
+    rng = np.random.default_rng(seed)
+    x, gamma, beta = _norm_inputs(rng)
+    running = (rng.standard_normal(x.shape[3]),
+               rng.uniform(0.2, 3.0, size=x.shape[3]))
+    fd_gradcheck(lambda xx, g, b: ops.batch_norm(xx, g, b, running=running, swish=True)[0],
+                 [x, gamma, beta], rng=rng)
+
+
 def test_shared_vjp_array_reaching_a_leaf_and_its_sibling():
     """``a + h`` hands one gradient array to the leaf ``a`` and to the
     non-leaf ``h``; ``a.sigmoid()``'s vjp then adds into ``a.grad`` before

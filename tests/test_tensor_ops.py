@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from docbench import cli, ops
 from docbench.config import Config
 from docbench.data import ImageLoader, TextLoader, generate_corpus
-from docbench.layers import BatchNorm2d, Ctx
+from docbench.layers import BatchNorm2d, Conv2d, Ctx, DepthwiseConv2d
 from docbench.optim import SgdConfig, SgdOptimizer
 from docbench.parallel import batch_loss, predict
 from docbench.tensor import (ShapeError, Tensor, _sigmoid, load_tensors,
@@ -466,6 +466,90 @@ class TestFusedNorms:
         g = rng.standard_normal(x.shape)
         assert peak_bytes(lambda: out._vjp(g)) < 1.5 * x.data.nbytes
 
+    @pytest.mark.parametrize("training", [True, False], ids=["batch", "running"])
+    @pytest.mark.parametrize("shape", [(8, 16, 16, 8), (8, 16, 16, 48), (32, 16, 16, 48)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_batch_norm_swish_is_swish_of_batch_norm_bit_for_bit(self, shape, training):
+        """The swish inside the node runs the same numbers as the swish op
+        after it: equal outputs, statistics and vjp outputs."""
+        rng = np.random.default_rng(shape[0] + shape[3])
+        c = shape[3]
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal(shape) * 2.0 + 0.5, rng.standard_normal(c) + 1.0,
+            rng.standard_normal(c)))
+        running = None if training else (rng.standard_normal(c), rng.uniform(0.2, 3.0, c))
+        g = rng.standard_normal(shape)
+        fused, mean, var = ops.batch_norm(x, gamma, beta, running=running, swish=True)
+        norm, ref_mean, ref_var = ops.batch_norm(x, gamma, beta, running=running)
+        composite = ops.swish(norm)
+        got = [fused.data, mean, var, *fused._vjp(g)]
+        want = [composite.data, ref_mean, ref_var, *norm._vjp(composite._vjp(g)[0])]
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_batch_norm_over_writes_one_temporary(self):
+        """The no-tape step maps the array it is given in place, with its
+        1 + tanh the only activation-sized allocation."""
+        rng = np.random.default_rng(7)
+        z = Tensor(rng.standard_normal((8, 16, 16, 32)))
+        gamma, beta = Tensor(rng.random(32) + 0.5), Tensor(rng.standard_normal(32))
+        running = (rng.standard_normal(32), rng.random(32) + 0.5)
+        want = ops.swish(ops.batch_norm(z, gamma, beta, running=running)[0]).data
+        array = z.data
+        peak = peak_bytes(lambda: ops.batch_norm_over(z, gamma, beta, 1e-5, running, True))
+        assert z.data is array
+        assert peak < 1.5 * array.nbytes
+        assert np.array_equal(array, want)
+
+
+class TestNormAfterConv:
+    """``BatchNorm2d.after`` with the running statistics and no tape to
+    record writes the norm, and its swish, over the convolution's output."""
+
+    @pytest.mark.parametrize("conv,swish", [
+        (lambda rng: Conv2d(3, 8, 3, rng, stride=2), True),      # the stem
+        (lambda rng: Conv2d(6, 8, 1, rng), True),                 # expand, head_conv
+        (lambda rng: Conv2d(6, 8, 1, rng), False),                # project
+        (lambda rng: DepthwiseConv2d(6, 3, rng), True),
+        (lambda rng: DepthwiseConv2d(6, 5, rng, stride=2), True),
+    ], ids=["stem-3x3-s2", "1x1-swish", "1x1", "depthwise-s1", "depthwise-s2"])
+    @pytest.mark.parametrize("untaped", ["no_grad", "frozen"])
+    def test_matches_the_recorded_eval_path(self, conv, swish, untaped):
+        rng = np.random.default_rng(11)
+        conv = conv(rng)
+        c_in, k = conv.weight.shape[1], conv.weight.shape[0]
+        if isinstance(conv, DepthwiseConv2d):
+            c_in = k
+        norm = BatchNorm2d(k, swish=swish)
+        norm.gamma.data[:] = rng.standard_normal(k) + 1.0
+        norm.beta.data[:] = rng.standard_normal(k)
+        norm.running_mean[:] = rng.standard_normal(k)
+        norm.running_var[:] = rng.uniform(0.2, 3.0, k)
+        x = Tensor(rng.standard_normal((4, 9, 9, c_in)))
+        before = x.data.copy()
+        recorded = norm(conv(x, Ctx()), Ctx())
+        assert recorded.op == "batch_norm"
+        if untaped == "no_grad":
+            with no_grad():
+                got = norm.after(conv, x, Ctx())
+        else:  # a frozen group in a training step
+            conv.set_frozen(True)
+            norm.set_frozen(True)
+            got = norm.after(conv, x, Ctx(training=True, rng=rng))
+        assert got.op == "leaf" and not got.requires_grad
+        assert np.array_equal(got.data, recorded.data)
+        assert np.array_equal(x.data, before)
+
+    def test_records_while_gamma_and_beta_take_gradients(self):
+        """A frozen convolution of an image still leaves the norm's own
+        parameters to record."""
+        rng = np.random.default_rng(12)
+        conv, norm = Conv2d(3, 4, 1, rng), BatchNorm2d(4, swish=True)
+        conv.set_frozen(True)
+        out = norm.after(conv, Tensor(rng.standard_normal((2, 5, 5, 3))), Ctx())
+        assert out.op == "batch_norm"
+        assert out.parents[1] is norm.gamma and out.parents[2] is norm.beta
+
 
 class TestSwish:
     def test_vjp_allocates_only_its_gradient(self):
@@ -637,7 +721,7 @@ class TestBackward:
             assert all(position[id(p)] < i for p in t.parents)
         assert order[-1] is y
 
-    @pytest.mark.parametrize("model,nodes", [("image", 99), ("text", 60)])
+    @pytest.mark.parametrize("model,nodes", [("image", 92), ("text", 60)])
     def test_desk_training_tape_size(self, model, nodes):
         """The benchmark's tensor.tape_nodes is len(trace(loss)) of one desk
         training step."""
@@ -715,7 +799,9 @@ class TestNoGrad:
         x = next(iter(loader.epoch(0)))[0]
         with no_grad():
             logits = net.logits(x, Ctx(training=False))
-        assert len(made) > 50
+        # 10 convolutions, the squeeze-excite gates, pooling, the classifier
+        # and the residual adds: each batch norm runs over its conv's output
+        assert len(made) == 35
         assert all(t.parents == () and t.op == "leaf" and t._vjp is None
                    and not t.requires_grad for t in made)
         assert len(trace(logits)) == 1
