@@ -323,9 +323,9 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def _affine(x, gamma, beta, eps, var, mean, swish, out=None):
-    """Batch norm's y = x*a + shift (a = gamma/std, std = sqrt(var + eps), shift
-    = beta - mean*a, or beta if mean is None) into ``out`` (new when None), or
-    y's swish from the exact halves; returns (out, a, std, 1 + tanh(y/2))."""
+    """Batch norm's y = x*a + shift into ``out`` (new when None), a = gamma/std,
+    std = sqrt(var + eps), shift = beta - mean*a (beta when mean is None), or y's
+    swish from the exact halves; returns (out, a, std, 1 + tanh(y/2) or None)."""
     std = np.sqrt(var + eps)
     a = gamma / std
     half = 2.0 if swish else 1.0

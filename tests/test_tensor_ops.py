@@ -799,8 +799,9 @@ class TestNoGrad:
         x = next(iter(loader.epoch(0)))[0]
         with no_grad():
             logits = net.logits(x, Ctx(training=False))
-        # 10 convolutions, the squeeze-excite gates, pooling, the classifier
-        # and the residual adds: each batch norm runs over its conv's output
+        # 10 convolutions, 3 squeeze-excite gates of 7 ops, the head's pooling
+        # and classifier and 2 residual adds; no batch norm or swish node,
+        # since each norm and its swish run over their convolution's output
         assert len(made) == 35
         assert all(t.parents == () and t.op == "leaf" and t._vjp is None
                    and not t.requires_grad for t in made)
