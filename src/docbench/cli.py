@@ -55,8 +55,8 @@ def _corpus_spec(cfg: Config) -> CorpusSpec:
     docs = cfg.getints("corpus", "docs_per_class")
     return cfg.build(
         CorpusSpec, "corpus", docs_per_class=docs[0] if len(docs) == 1 else docs,
-        image_template_map=tuple(cfg.getints("corpus", "image_template_map")) or None,
-        text_template_map=tuple(cfg.getints("corpus", "text_template_map")) or None)
+        image_template_map=cfg.getints("corpus", "image_template_map") or None,
+        text_template_map=cfg.getints("corpus", "text_template_map") or None)
 
 
 def _stage_specs(cfg: Config):
@@ -113,10 +113,6 @@ def _build_text_net(cfg: Config, corpus: Corpus, seed: int):
                      max_len=_text_max_len(cfg, corpus),
                      num_classes=corpus.num_classes)
     return build_text_encoder(spec, seed)
-
-
-def _augment(cfg: Config, section: str):
-    return cfg.build(AugmentConfig, section) if cfg.getbool(section, "augment") else None
 
 
 def _splits(cfg: Config, section: str, corpus: Corpus, count: int, seed: int):
@@ -213,9 +209,10 @@ def _train_image(args, cfg: Config, initial=None):
     plan = _splits(cfg, section, corpus, index + 1, args.seed)[index]
     dims = _scaled_dims(cfg)
     k, n = args.workers, args.batch_per_worker
+    augment = cfg.build(AugmentConfig, section) if cfg.getbool(section, "augment") else None
     train_loader = ImageLoader(corpus, plan.train, k * n,
                                image_size=dims.input_size,
-                               augment=_augment(cfg, section), seed=args.seed)
+                               augment=augment, seed=args.seed)
     steps = epochs * train_loader.batches_per_epoch()
     if steps < 1:
         raise ConfigError(
@@ -426,52 +423,45 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# flags that only some commands read; each command gets only its own
+FLAGS = {"--data": dict(required=True, help="corpus directory"),
+         "--workers": dict(type=int, default=None, metavar="K"),
+         "--batch-per-worker": dict(type=int, default=None, metavar="N"),
+         "--checkpoint": dict(required=True),
+         "--image-checkpoint": dict(required=True),
+         "--text-checkpoint": dict(required=True)}
+TRAINING = ("--data", "--workers", "--batch-per-worker")
+
+# each command's handler, help line and flags besides --config, --set, --seed, --out
+HANDLERS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic corpus", ()),
+    "pretrain": (_train_image, "train the image model", TRAINING),
+    "finetune": (cmd_finetune, "fine-tune a pretrained image model",
+                 (*TRAINING, "--checkpoint")),
+    "train-text": (cmd_train_text, "train the text model", TRAINING),
+    "ensemble-eval": (cmd_ensemble_eval, "evaluate late-fusion ensemble",
+                      ("--data", "--image-checkpoint", "--text-checkpoint")),
+    "bench-scaling": (cmd_bench_scaling, "measure data-parallel speedup", ("--data",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="docbench",
         description="Dual-modality document classification benchmark")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # flags that only some commands read; each command gets only its own
-    flags = {"--data": dict(required=True, help="corpus directory"),
-             "--workers": dict(type=int, default=None, metavar="K"),
-             "--batch-per-worker": dict(type=int, default=None, metavar="N")}
-    training = tuple(flags)
-
-    def common(p, *names):
+    for name, (_, help_line, flags) in HANDLERS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", default=None,
                        help="profile name (desk, full) or config file path")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override one config value")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
-        for name in names:
-            p.add_argument(name, **flags[name])
-
-    common(sub.add_parser("gen-data", help="generate a synthetic corpus"))
-    common(sub.add_parser("pretrain", help="train the image model"), *training)
-    p = sub.add_parser("finetune", help="fine-tune a pretrained image model")
-    common(p, *training)
-    p.add_argument("--checkpoint", required=True)
-    common(sub.add_parser("train-text", help="train the text model"), *training)
-    p = sub.add_parser("ensemble-eval", help="evaluate late-fusion ensemble")
-    common(p, "--data")
-    p.add_argument("--image-checkpoint", required=True)
-    p.add_argument("--text-checkpoint", required=True)
-    p = sub.add_parser("bench-scaling", help="measure data-parallel speedup")
-    common(p, "--data")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "pretrain": _train_image,
-    "finetune": cmd_finetune,
-    "train-text": cmd_train_text,
-    "ensemble-eval": cmd_ensemble_eval,
-    "bench-scaling": cmd_bench_scaling,
-}
 
 
 def _resolve(args, cfg: Config):
@@ -496,7 +486,7 @@ def main(argv=None) -> int:
         cfg = Config.load(args.config, args.overrides)
         _resolve(args, cfg)
         started = time.time()
-        artifacts, fields = HANDLERS[args.command](args, cfg)
+        artifacts, fields = HANDLERS[args.command][0](args, cfg)
         _write_manifest(args, cfg, started, artifacts, fields)
         return 0
     except Exception as exc:  # single-line, machine-parsable failure channel

@@ -39,7 +39,7 @@ IMAGES_FILE = "images.tensors"
 @dataclass(frozen=True)
 class CorpusSpec:
     num_classes: int
-    docs_per_class: object = 25          # int (uniform) or per-class list (skewed)
+    docs_per_class: object = 25          # int (uniform) or per-class counts (skewed)
     image_size: int = 32
     vocab_size: int = 64
     text_len: int = 16
@@ -50,6 +50,9 @@ class CorpusSpec:
     text_template_map: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        for name in ("docs_per_class", "image_template_map", "text_template_map"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if self.num_classes > NUM_LAYOUTS:
@@ -331,16 +334,10 @@ def load_corpus(corpus_dir: str) -> Corpus:
             or images is None or len(images) != len(entries)):
         raise ValueError(f"{path}: does not match manifest.json (other spec, seed "
                          f"or document count); regenerate the corpus with gen-data")
-    raw = dict(manifest["spec"])
-    for key in ("image_template_map", "text_template_map"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(raw[key])
-    if not isinstance(raw["docs_per_class"], int):
-        raw["docs_per_class"] = tuple(raw["docs_per_class"])
     docs = [Document(image=image, tokens=e["tokens"], label=e["label"],
                      text_class=e["text_class"])
             for image, e in zip(images, entries)]
-    return Corpus(spec=CorpusSpec(**raw), seed=manifest["seed"], documents=docs)
+    return Corpus(spec=CorpusSpec(**manifest["spec"]), seed=manifest["seed"], documents=docs)
 
 
 # -- minibatch streams ---------------------------------------------------------------

@@ -419,6 +419,23 @@ def test_train_text_rejects_indivisible_batch(work, tmp_path):
     assert proc.stderr.strip().startswith("error:")
 
 
+@pytest.mark.parametrize("k,n,batch", [(1, 6, 6), (2, 3, 6), (2, 4, 8)])
+def test_train_text_batch_per_worker_sets_the_global_batch(work, tmp_path, k, n,
+                                                            batch):
+    """--batch-per-worker n makes train-text's global batch k*n in place of
+    text.batch_size (6 on the desk profile), so k*n = 6 trains as without it."""
+    flags = ["--data", work["data"], "--set", "text.epochs=1", "--workers", str(k)]
+    out = tmp_path / "given"
+    assert cli.main(["train-text", "--out", str(out), *flags,
+                     "--batch-per-worker", str(n)]) == 0
+    assert read_manifest(out)["batch_size"] == batch
+    if batch == 6:
+        plain = tmp_path / "plain"
+        assert cli.main(["train-text", "--out", str(plain), *flags]) == 0
+        assert read_manifest(plain)["batch_size"] == 6
+        assert (out / "metrics.csv").read_bytes() == (plain / "metrics.csv").read_bytes()
+
+
 def test_ensemble_eval_report_and_summary(work, tmp_path):
     out = str(tmp_path / "ens")
     pre_m = read_manifest(work["pre"])
@@ -871,6 +888,25 @@ def test_a_command_rejects_the_flags_it_does_not_read(capsys, command, flag):
                                "--text-checkpoint", "t"]}[command]
     assert cli.main([command, "--out", "o", *needs, flag, "2"]) == 1
     assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 2\n"
+
+
+TRAINING_FLAGS = {"--data", "--workers", "--batch-per-worker"}
+COMMAND_FLAGS = {
+    "gen-data": set(),
+    "pretrain": TRAINING_FLAGS,
+    "finetune": TRAINING_FLAGS | {"--checkpoint"},
+    "train-text": TRAINING_FLAGS,
+    "ensemble-eval": {"--data", "--image-checkpoint", "--text-checkpoint"},
+    "bench-scaling": {"--data"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_command_takes_exactly_its_flags(command):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--set", "--seed", "--out",
+                       *COMMAND_FLAGS[command]}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["pretrain", "--help"]])

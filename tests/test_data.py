@@ -9,7 +9,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from docbench import tensor
+from docbench import cli, tensor
+from docbench.config import Config
 from docbench.data import (BACKGROUND, CLS_ID, NUM_LAYOUTS, NUM_SPECIALS,
                            PAD_ID, SEP_ID, AugmentConfig, CorpusSpec,
                            ImageLoader, TextLoader, class_template,
@@ -320,6 +321,21 @@ def test_corpus_roundtrip(tmp_path):
         assert np.array_equal(da.image, db.image)
         assert da.tokens == db.tokens
         assert (da.label, da.text_class) == (db.label, db.text_class)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: small_spec(docs_per_class=[10, 11, 12, 13],
+                       image_template_map=[0, 0, 1, 2], text_template_map=[0, 1, 2, 2]),
+    lambda: cli._corpus_spec(Config.load(overrides=[
+        "corpus.docs_per_class=30 40 50 60", "corpus.image_template_map=0 0 1 2"])),
+], ids=["lists", "config"])
+def test_uneven_spec_hashes_and_survives_the_round_trip(tmp_path, make_spec):
+    """A spec given lists holds tuples, as the one load_corpus reads back
+    does, so it hashes and equals the loaded spec."""
+    spec = make_spec()
+    hash(spec)
+    save_corpus(generate_corpus(spec, seed=3), str(tmp_path))
+    assert load_corpus(str(tmp_path)).spec == spec
 
 
 def test_save_is_byte_deterministic(tmp_path):
